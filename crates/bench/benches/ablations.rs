@@ -6,10 +6,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use compression::bitstream::BitWriter;
 use compression::codec::PeblcCompressor;
 use compression::deflate;
-use compression::gorilla::compress_values;
+use compression::gorilla::ValueAppender;
 use compression::pmc::{segment_values_repr, Representative};
 use compression::ppa::Ppa;
 use compression::{raw_compressed_size, Pmc, Swing, Sz};
@@ -70,25 +69,22 @@ fn ablate_sz_final_deflate(c: &mut Criterion) {
     });
 }
 
+/// Gorilla bits for one block of values, through the one value encoder.
+fn gorilla_bits(block: &[f64]) -> usize {
+    let mut a = ValueAppender::with_capacity(block.len());
+    for &v in block {
+        a.push(v);
+    }
+    a.len_bits()
+}
+
 /// Gorilla block policy: the paper compresses the whole series as one
 /// block instead of the original two-hour blocks (§3.3) — compare bits.
 fn ablate_gorilla_blocks(c: &mut Criterion) {
     let s = series(8_192);
-    let whole = {
-        let mut w = BitWriter::new();
-        compress_values(s.values(), &mut w);
-        w.len_bits()
-    };
+    let whole = gorilla_bits(s.values());
     // Two-hour blocks at 15-minute sampling = 8 points per block.
-    let blocked = {
-        let mut total = 0usize;
-        for chunk in s.values().chunks(8) {
-            let mut w = BitWriter::new();
-            compress_values(chunk, &mut w);
-            total += w.len_bits();
-        }
-        total
-    };
+    let blocked: usize = s.values().chunks(8).map(gorilla_bits).sum();
     println!(
         "[ablation] GORILLA whole-series = {whole} bits; 2h blocks = {blocked} bits \
          (blocked/whole size ratio {:.2}; per-block 64-bit restarts trade against \
@@ -96,23 +92,9 @@ fn ablate_gorilla_blocks(c: &mut Criterion) {
         blocked as f64 / whole as f64
     );
     let mut group = c.benchmark_group("ablate_gorilla_blocks");
-    group.bench_function("whole_series", |b| {
-        b.iter(|| {
-            let mut w = BitWriter::new();
-            compress_values(black_box(s.values()), &mut w);
-            w.len_bits()
-        })
-    });
+    group.bench_function("whole_series", |b| b.iter(|| gorilla_bits(black_box(s.values()))));
     group.bench_function("two_hour_blocks", |b| {
-        b.iter(|| {
-            let mut total = 0usize;
-            for chunk in black_box(s.values()).chunks(8) {
-                let mut w = BitWriter::new();
-                compress_values(chunk, &mut w);
-                total += w.len_bits();
-            }
-            total
-        })
+        b.iter(|| black_box(s.values()).chunks(8).map(gorilla_bits).sum::<usize>())
     });
     group.finish();
 }

@@ -18,18 +18,15 @@
 //!   passes over the block.
 //!
 //! Two kernel implementations exist behind [`Kernel`]: the word-at-a-time
-//! `Blocked` kernel and a definitional bit-at-a-time `Scalar` fallback.
-//! Both produce and consume identical bytes (proven by
-//! `tests/block_props.rs`); the active kernel is chosen once per process by
-//! [`active_kernel`] — `Blocked` unless `EVALIMPL_CODEC_KERNEL=scalar`
-//! pins the fallback for verification or debugging.
+//! `Blocked` kernel every codec runs, and a definitional bit-at-a-time
+//! `Scalar` reference reached only through the explicit `*_with`
+//! functions. Both produce and consume identical bytes (proven by
+//! `tests/block_props.rs`).
 //!
 //! Decoding is *total*: every length and position is validated against the
 //! remaining input, so hostile bytes return [`BlockError`], never panic,
 //! and never drive an allocation past what the input could honestly
 //! describe (DESIGN.md §10).
-
-use std::sync::OnceLock;
 
 use crate::reader::{ByteReader, ReadError};
 
@@ -63,23 +60,14 @@ impl From<BlockError> for crate::codec::CodecError {
 
 /// Which pack/unpack implementation to run. Both are portable Rust and
 /// bit-identical on the wire; `Blocked` moves whole 64-bit words per step,
-/// `Scalar` is the definitional bit-at-a-time fallback.
+/// `Scalar` is the definitional bit-at-a-time reference the tests and
+/// benches compare against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernel {
     /// Word-at-a-time packing: the fast path.
     Blocked,
-    /// Bit-at-a-time reference: the portable fallback.
+    /// Bit-at-a-time reference.
     Scalar,
-}
-
-/// The process-wide kernel, decided once: `Blocked` unless the
-/// `EVALIMPL_CODEC_KERNEL` environment variable is set to `scalar`.
-pub fn active_kernel() -> Kernel {
-    static ACTIVE: OnceLock<Kernel> = OnceLock::new();
-    *ACTIVE.get_or_init(|| match std::env::var("EVALIMPL_CODEC_KERNEL") {
-        Ok(v) if v.eq_ignore_ascii_case("scalar") => Kernel::Scalar,
-        _ => Kernel::Blocked,
-    })
 }
 
 /// Bits required to represent `v` (0 for 0).
@@ -367,10 +355,10 @@ pub fn pack_bits_into(values: &[u64], width: u8, kernel: Kernel, out: &mut Vec<u
     }
 }
 
-/// Packs `values` at `width` bits with the process-wide kernel.
+/// Packs `values` at `width` bits with the blocked kernel.
 pub fn pack_bits(values: &[u64], width: u8) -> Vec<u8> {
     let mut out = Vec::with_capacity(packed_len(values.len(), width));
-    pack_bits_into(values, width, active_kernel(), &mut out);
+    pack_bits_into(values, width, Kernel::Blocked, &mut out);
     out
 }
 
@@ -400,10 +388,10 @@ pub fn unpack_bits_into(
     Ok(())
 }
 
-/// Unpacks `n` values of `width` bits with the process-wide kernel.
+/// Unpacks `n` values of `width` bits with the blocked kernel.
 pub fn unpack_bits(bytes: &[u8], n: usize, width: u8) -> Result<Vec<u64>, BlockError> {
     let mut out = Vec::with_capacity(n);
-    unpack_bits_into(bytes, n, width, active_kernel(), &mut out)?;
+    unpack_bits_into(bytes, n, width, Kernel::Blocked, &mut out)?;
     Ok(out)
 }
 
@@ -539,9 +527,9 @@ fn choose_width(block: &[u64]) -> u8 {
 
 /// Encodes a `u64` stream as length-prefixed blocks of [`LANE`] values,
 /// each packed at its own best width with varint spills, using the
-/// process-wide kernel.
+/// blocked kernel.
 pub fn encode_u64s(values: &[u64]) -> Vec<u8> {
-    encode_u64s_with(values, active_kernel())
+    encode_u64s_with(values, Kernel::Blocked)
 }
 
 /// [`encode_u64s`] with an explicit kernel (for benches and equivalence
@@ -575,11 +563,11 @@ pub fn encode_u64s_with(values: &[u64], kernel: Kernel) -> Vec<u8> {
     out
 }
 
-/// Decodes a stream produced by [`encode_u64s`] with the process-wide
+/// Decodes a stream produced by [`encode_u64s`] with the blocked
 /// kernel. Total: malformed bytes return [`BlockError`], and allocation is
 /// bounded by the remaining input, not by the decoded count field.
 pub fn decode_u64s(r: &mut ByteReader<'_>) -> Result<Vec<u64>, BlockError> {
-    decode_u64s_with(r, active_kernel())
+    decode_u64s_with(r, Kernel::Blocked)
 }
 
 /// [`decode_u64s`] with an explicit kernel.
@@ -653,7 +641,7 @@ fn decode_block(
 /// prefix sum runs over it immediately, so the intermediate dod vector is
 /// never materialised and the 8-bytes-per-value write happens once.
 pub fn decode_dod_stream(r: &mut ByteReader<'_>, first: i64) -> Result<Vec<i64>, BlockError> {
-    decode_dod_stream_with(r, first, active_kernel())
+    decode_dod_stream_with(r, first, Kernel::Blocked)
 }
 
 /// [`decode_dod_stream`] with an explicit kernel.

@@ -25,14 +25,6 @@ pub enum CodecError {
     Series(SeriesError),
     /// The requested error bound is not usable (negative or NaN).
     BadErrorBound(f64),
-    /// A streamed segment hit the 16-bit length cap, forcing the online
-    /// encoder to cut where the batch compressor would not — the streamed
-    /// frame would no longer be byte-identical to the batch frame, so the
-    /// caller gets an explicit error instead of silent divergence.
-    SegmentCap {
-        /// The codec whose encoder was forced to cut.
-        method: &'static str,
-    },
 }
 
 impl std::fmt::Display for CodecError {
@@ -43,11 +35,6 @@ impl std::fmt::Display for CodecError {
             CodecError::Deflate(e) => write!(f, "lossless layer: {e}"),
             CodecError::Series(e) => write!(f, "series reconstruction: {e}"),
             CodecError::BadErrorBound(e) => write!(f, "invalid error bound {e}"),
-            CodecError::SegmentCap { method } => write!(
-                f,
-                "{method}: a segment hit the 16-bit length cap; \
-                 streamed output would diverge from the batch frame"
-            ),
         }
     }
 }

@@ -22,45 +22,6 @@ use crate::timestamps;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Gorilla;
 
-/// Compresses a value slice into Gorilla bits (no header).
-pub fn compress_values(values: &[f64], w: &mut BitWriter) {
-    if values.is_empty() {
-        return;
-    }
-    w.write_bits(values[0].to_bits(), 64);
-    let mut prev = values[0].to_bits();
-    // Invalid window forces the first nonzero XOR to emit a new one.
-    let mut prev_leading: u32 = u32::MAX;
-    let mut prev_trailing: u32 = 0;
-    for &v in &values[1..] {
-        let bits = v.to_bits();
-        let xor = bits ^ prev;
-        if xor == 0 {
-            w.write_bit(false);
-        } else {
-            w.write_bit(true);
-            let leading = xor.leading_zeros().min(31);
-            let trailing = xor.trailing_zeros();
-            if prev_leading != u32::MAX && leading >= prev_leading && trailing >= prev_trailing {
-                // Reuse the previous window.
-                w.write_bit(false);
-                let len = 64 - prev_leading - prev_trailing;
-                w.write_bits(xor >> prev_trailing, len as u8);
-            } else {
-                w.write_bit(true);
-                let len = 64 - leading - trailing;
-                w.write_bits(leading as u64, 5);
-                // len is in 1..=64; store len - 1 in 6 bits.
-                w.write_bits((len - 1) as u64, 6);
-                w.write_bits(xor >> trailing, len as u8);
-                prev_leading = leading;
-                prev_trailing = trailing;
-            }
-        }
-        prev = bits;
-    }
-}
-
 /// Decompresses `n` values from Gorilla bits.
 pub fn decompress_values(r: &mut BitReader<'_>, n: usize) -> Result<Vec<f64>, CodecError> {
     if n == 0 {
@@ -109,11 +70,10 @@ pub fn decompress_values(r: &mut BitReader<'_>, n: usize) -> Result<Vec<f64>, Co
     Ok(out)
 }
 
-/// Stateful point-at-a-time XOR encoder for the store's append path.
-///
-/// Pushing values one by one produces a bit stream identical to
-/// [`compress_values`] over the same slice (tested below), so a sealed
-/// chunk written through the appender decodes with [`decompress_values`].
+/// The one Gorilla value encoder: a stateful point-at-a-time XOR encoder.
+/// [`Gorilla::compress`] folds a whole series through it and the store
+/// appends chunk points to it, so both write the bit stream
+/// [`decompress_values`] reads.
 #[derive(Debug, Clone)]
 pub struct ValueAppender {
     w: BitWriter,
@@ -132,8 +92,16 @@ impl Default for ValueAppender {
 impl ValueAppender {
     /// Creates an empty appender.
     pub fn new() -> Self {
+        Self::with_capacity(0)
+    }
+
+    /// Creates an empty appender presized for `n` values. Sensor-like data
+    /// averages well under 40 bits/value; sizing for the first value's 64
+    /// bits plus that keeps growth to one realloc in the worst case
+    /// instead of byte-at-a-time doubling.
+    pub fn with_capacity(n: usize) -> Self {
         ValueAppender {
-            w: BitWriter::new(),
+            w: BitWriter::with_capacity(64 + n * 40),
             prev: 0,
             prev_leading: u32::MAX,
             prev_trailing: 0,
@@ -156,7 +124,11 @@ impl ValueAppender {
         self.w.len_bits()
     }
 
-    /// Appends one value, emitting the same bits [`compress_values`] would.
+    /// Appends one value. The first costs 64 raw bits; each later value
+    /// costs one bit when it repeats its predecessor, else a control bit
+    /// plus the XOR's meaningful bits, reusing the previous
+    /// (leading-zeros, length) window when it fits.
+    #[inline]
     pub fn push(&mut self, v: f64) {
         let bits = v.to_bits();
         if self.count == 0 {
@@ -172,6 +144,8 @@ impl ValueAppender {
             self.w.write_bit(true);
             let leading = xor.leading_zeros().min(31);
             let trailing = xor.trailing_zeros();
+            // `prev_leading == u32::MAX` marks "no window yet", forcing
+            // the first nonzero XOR to emit one.
             if self.prev_leading != u32::MAX
                 && leading >= self.prev_leading
                 && trailing >= self.prev_trailing
@@ -183,6 +157,7 @@ impl ValueAppender {
                 self.w.write_bit(true);
                 let len = 64 - leading - trailing;
                 self.w.write_bits(leading as u64, 5);
+                // len is in 1..=64; store len - 1 in 6 bits.
                 self.w.write_bits((len - 1) as u64, 6);
                 self.w.write_bits(xor >> trailing, len as u8);
                 self.prev_leading = leading;
@@ -213,12 +188,11 @@ impl PeblcCompressor for Gorilla {
     ) -> Result<CompressedSeries, CodecError> {
         let mut inner = timestamps::try_encode_header(series.start(), series.interval())?;
         inner.extend_from_slice(&(series.len() as u32).to_le_bytes());
-        // Sensor-like data averages well under 40 bits/value; sizing for
-        // the first value's 64 bits plus that keeps growth to one realloc
-        // in the worst case instead of byte-at-a-time doubling.
-        let mut w = BitWriter::with_capacity(64 + series.len() * 40);
-        compress_values(series.values(), &mut w);
-        inner.extend_from_slice(&w.into_bytes());
+        let mut values = ValueAppender::with_capacity(series.len());
+        for &v in series.values() {
+            values.push(v);
+        }
+        inner.extend_from_slice(&values.into_bytes());
         Ok(CompressedSeries {
             method: self.name(),
             bytes: deflate::compress(&inner),
@@ -271,21 +245,25 @@ mod tests {
         roundtrip(vec![std::f64::consts::PI]);
     }
 
+    fn append(values: &[f64]) -> ValueAppender {
+        let mut a = ValueAppender::new();
+        for &v in values {
+            a.push(v);
+        }
+        a
+    }
+
     #[test]
     fn repeated_values_cost_one_bit() {
-        let mut w = BitWriter::new();
-        compress_values(&vec![7.5; 1001], &mut w);
         // 64 bits for the first + 1000 zero-XOR bits
-        assert_eq!(w.len_bits(), 64 + 1000);
+        assert_eq!(append(&[7.5; 1001]).len_bits(), 64 + 1000);
     }
 
     #[test]
     fn similar_values_compress() {
         // Values differing only in low mantissa bits: window reuse kicks in.
         let values: Vec<f64> = (0..10_000).map(|i| 100.0 + (i % 16) as f64 * 1e-12).collect();
-        let mut w = BitWriter::new();
-        compress_values(&values, &mut w);
-        let bits_per_value = w.len_bits() as f64 / values.len() as f64;
+        let bits_per_value = append(&values).len_bits() as f64 / values.len() as f64;
         assert!(bits_per_value < 40.0, "bits/value {bits_per_value}");
     }
 
@@ -324,7 +302,7 @@ mod tests {
     }
 
     #[test]
-    fn appender_bits_match_batch_encoder() {
+    fn appender_bits_are_the_frame_payload() {
         let cases: Vec<Vec<f64>> = vec![
             vec![],
             vec![std::f64::consts::PI],
@@ -334,26 +312,22 @@ mod tests {
             vec![0.0, -0.0, 1.0, -1.0, f64::MAX, f64::MIN_POSITIVE, 1e-300],
             vec![f64::from_bits(0x8000_0000_0000_0001), f64::from_bits(0x7FFF_FFFF_FFFF_FFFE)],
         ];
-        for values in cases {
-            let mut w = BitWriter::new();
-            compress_values(&values, &mut w);
-            let mut a = ValueAppender::new();
-            for &v in &values {
-                a.push(v);
-            }
+        assert!(append(&[]).into_bytes().is_empty());
+        for values in cases.into_iter().skip(1) {
+            // The store's appended chunk payload is the batch frame's body
+            // after the header and count.
+            let a = append(&values);
             assert_eq!(a.len(), values.len());
-            assert_eq!(a.into_bytes(), w.into_bytes(), "n={}", values.len());
+            let frame = Gorilla.compress(&series(values.clone()), 0.0).unwrap();
+            let inner = deflate::decompress(&frame.bytes).unwrap();
+            assert_eq!(a.into_bytes(), inner[timestamps::HEADER_LEN + 4..], "n={}", values.len());
         }
     }
 
     #[test]
     fn appender_stream_decodes() {
         let values: Vec<f64> = (0..1500).map(|i| 3.0 + (i % 9) as f64 * 0.25).collect();
-        let mut a = ValueAppender::new();
-        for &v in &values {
-            a.push(v);
-        }
-        let bytes = a.into_bytes();
+        let bytes = append(&values).into_bytes();
         let mut r = BitReader::new(&bytes);
         let got = decompress_values(&mut r, values.len()).unwrap();
         assert_eq!(

@@ -25,6 +25,14 @@
 //!   fuzz harness (`tests/fuzz_decode.rs` and the artifact fuzz in
 //!   `evalcore`).
 //!
+//! PMC, Swing, Gorilla values and varbit timestamps each have exactly one
+//! encoder, an online one that takes a point at a time
+//! ([`StreamingPmc`], [`StreamingSwing`], [`gorilla::ValueAppender`],
+//! [`timestamps::StreamAppender`]). The batch `compress` of each codec is
+//! a fold over that encoder, and so are [`streaming::compress_source`]
+//! and the store's chunk appends, so every path writes the same frame
+//! bytes.
+//!
 //! All lossy compressors guarantee the *relative* pointwise bound of
 //! Definition 4: `|v̂ - v| <= ε·|v|` for every point.
 //!
@@ -61,11 +69,11 @@ pub use codec::{
 };
 pub use crc::crc32;
 pub use gorilla::Gorilla;
-pub use pmc::Pmc;
+pub use pmc::{Pmc, StreamingPmc};
 pub use ppa::Ppa;
 pub use reader::{ByteReader, ReadError};
-pub use streaming::{compress_source, Emit, StreamingPmc, StreamingSwing};
-pub use swing::Swing;
+pub use streaming::compress_source;
+pub use swing::{StreamingSwing, Swing};
 pub use sz::Sz;
 
 /// The three lossy methods in the paper's order, as trait objects.

@@ -50,59 +50,131 @@ pub enum Representative {
     Snapped,
 }
 
+/// Online PMC-Mean: push points one at a time, receive each segment as
+/// soon as the error bound closes it. This is the one PMC encoder: the
+/// batch [`segment_values`], [`Pmc::compress`], `compress_source` and the
+/// store's chunk appends all fold over it. Memory stays O(1) in the
+/// stream length.
+#[derive(Debug, Clone)]
+pub struct StreamingPmc {
+    epsilon: f64,
+    repr: Representative,
+    // Intersection of allowed intervals and running sum for the open
+    // window (empty when `count == 0`).
+    lo: f64,
+    hi: f64,
+    sum: f64,
+    count: usize,
+    mean: f64,
+}
+
+impl StreamingPmc {
+    /// Creates an encoder with relative bound `epsilon` and the default
+    /// (snapped) representative.
+    pub fn new(epsilon: f64) -> Self {
+        Self::with_representative(epsilon, Representative::Snapped)
+    }
+
+    /// Creates an encoder with an explicit representative policy.
+    pub fn with_representative(epsilon: f64, repr: Representative) -> Self {
+        StreamingPmc {
+            epsilon,
+            repr,
+            lo: f64::NEG_INFINITY,
+            hi: f64::INFINITY,
+            sum: 0.0,
+            count: 0,
+            mean: 0.0,
+        }
+    }
+
+    /// Pushes one point; returns the segment it closed, if any.
+    #[inline]
+    pub fn push(&mut self, v: f64) -> Option<PmcSegment> {
+        let b = point_bound(v, self.epsilon);
+        let nlo = self.lo.max(v - b);
+        let nhi = self.hi.min(v + b);
+        let nsum = self.sum + v;
+        let nmean = nsum / (self.count + 1) as f64;
+        if nlo <= nhi && nmean >= nlo && nmean <= nhi {
+            // The window absorbs the point.
+            self.lo = nlo;
+            self.hi = nhi;
+            self.sum = nsum;
+            self.count += 1;
+            self.mean = nmean;
+            return None;
+        }
+        // Close the window without the latest point, which opens the next
+        // one on its own. A point no window admits (NaN) still gets its
+        // own one-point window.
+        let closed = self.segment();
+        self.lo = v - b;
+        self.hi = v + b;
+        self.sum = v;
+        self.count = 1;
+        self.mean = v;
+        closed
+    }
+
+    /// Flushes the open window, leaving the encoder empty: the next `push`
+    /// starts a fresh segment. End of stream and the store's chunk seal
+    /// both flush this way.
+    pub fn drain(&mut self) -> Option<PmcSegment> {
+        let closed = self.segment();
+        *self = Self::with_representative(self.epsilon, self.repr);
+        closed
+    }
+
+    /// The open window as a segment, if it holds any point.
+    fn segment(&self) -> Option<PmcSegment> {
+        (self.count > 0).then(|| PmcSegment {
+            len: self.count,
+            value: representative(self.lo, self.hi, self.mean, self.repr),
+        })
+    }
+}
+
 /// Runs the PMC windowing with an explicit representative policy.
 pub fn segment_values_repr(values: &[f64], epsilon: f64, repr: Representative) -> Vec<PmcSegment> {
-    segment_values_impl(values, epsilon, repr)
+    fold(StreamingPmc::with_representative(epsilon, repr), values.iter().copied())
 }
 
 /// Runs the PMC-Mean windowing on raw values, returning segments with the
 /// default (snapped) representative.
 pub fn segment_values(values: &[f64], epsilon: f64) -> Vec<PmcSegment> {
-    segment_values_impl(values, epsilon, Representative::Snapped)
+    fold(StreamingPmc::new(epsilon), values.iter().copied())
 }
 
-fn segment_values_impl(values: &[f64], epsilon: f64, repr: Representative) -> Vec<PmcSegment> {
+/// Pushes every value through `enc`, then drains it.
+fn fold(mut enc: StreamingPmc, values: impl IntoIterator<Item = f64>) -> Vec<PmcSegment> {
     let mut segments = Vec::new();
-    // Intersection of allowed intervals and running sum for the open window.
-    let mut lo = f64::NEG_INFINITY;
-    let mut hi = f64::INFINITY;
-    let mut sum = 0.0;
-    let mut count = 0usize;
-    let mut mean = 0.0;
-
-    for &v in values.iter() {
-        let b = point_bound(v, epsilon);
-        let nlo = lo.max(v - b);
-        let nhi = hi.min(v + b);
-        let nsum = sum + v;
-        let ncount = count + 1;
-        let nmean = nsum / ncount as f64;
-        if nlo <= nhi && nmean >= nlo && nmean <= nhi {
-            // Window absorbs the point.
-            lo = nlo;
-            hi = nhi;
-            sum = nsum;
-            count = ncount;
-            mean = nmean;
-        } else {
-            // Close the window without the latest point. The mean is
-            // guaranteed to lie in [lo, hi]; the stored representative is
-            // the most compressible value near the mean (see
-            // `codec::shortest_decimal_in`).
-            segments.push(PmcSegment { len: count, value: representative(lo, hi, mean, repr) });
-            lo = v - b;
-            hi = v + b;
-            sum = v;
-            count = 1;
-            mean = v;
-        }
+    for v in values {
+        segments.extend(enc.push(v));
     }
-    if count > 0 {
-        segments.push(PmcSegment { len: count, value: representative(lo, hi, mean, repr) });
-    }
+    segments.extend(enc.drain());
     segments
 }
 
+/// The PMC frame of a value stream: the one compress path behind
+/// [`Pmc::compress`] and `compress_source`.
+pub(crate) fn compress_values(
+    start: i64,
+    interval: i64,
+    values: impl IntoIterator<Item = f64>,
+    epsilon: f64,
+) -> Result<CompressedSeries, CodecError> {
+    check_epsilon(epsilon)?;
+    let segments = fold(StreamingPmc::new(epsilon), values);
+    Ok(CompressedSeries {
+        method: "PMC",
+        bytes: encode_segments(start, interval, &segments)?,
+        num_segments: segments.len(),
+    })
+}
+
+/// The stored representative of a closed window. The mean is guaranteed
+/// to lie in `[lo, hi]`.
 fn representative(lo: f64, hi: f64, mean: f64, repr: Representative) -> f64 {
     match repr {
         Representative::Mean => mean,
@@ -113,29 +185,22 @@ fn representative(lo: f64, hi: f64, mean: f64, repr: Representative) -> f64 {
                 mean
             }
         }
-        Representative::Snapped => snap_near_mean(lo, hi, mean),
+        // Snap within the half of `[lo, hi]` centered on the mean, trading
+        // a little of the allowed slack for a round (compressible)
+        // representative while staying close to PMC-Mean's reconstruction
+        // error profile (see `codec::shortest_decimal_in`).
+        Representative::Snapped => {
+            let l = mean - 0.5 * (mean - lo).max(0.0);
+            let h = mean + 0.5 * (hi - mean).max(0.0);
+            shortest_decimal_in(l, h)
+        }
     }
 }
 
-/// Snaps within the half of `[lo, hi]` centered on the mean, trading a
-/// little of the allowed slack for a round (compressible) representative
-/// while staying close to PMC-Mean's reconstruction error profile.
-fn snap_near_mean(lo: f64, hi: f64, mean: f64) -> f64 {
-    snap_near_mean_public(lo, hi, mean)
-}
-
-/// Crate-visible snapping used by the streaming compressor so its segments
-/// match the batch output exactly.
-pub(crate) fn snap_near_mean_public(lo: f64, hi: f64, mean: f64) -> f64 {
-    let l = mean - 0.5 * (mean - lo).max(0.0);
-    let h = mean + 0.5 * (hi - mean).max(0.0);
-    shortest_decimal_in(l, h)
-}
-
 /// Serializes already-segmented PMC output into the deflated frame format
-/// `Pmc::decompress` reads. `Pmc::compress` is `segment_values` followed by
-/// this; the store re-encodes streamed segments through the same path so
-/// its frames are byte-identical to the batch compressor's.
+/// `Pmc::decompress` reads. Segments longer than the 16-bit length field
+/// are split here, and only here, so the encoder never cuts at the cap;
+/// the store seals its streamed segments through the same path.
 pub fn encode_segments(
     start: i64,
     interval: i64,
@@ -168,13 +233,7 @@ impl PeblcCompressor for Pmc {
         series: &RegularTimeSeries,
         epsilon: f64,
     ) -> Result<CompressedSeries, CodecError> {
-        check_epsilon(epsilon)?;
-        let segments = segment_values(series.values(), epsilon);
-        Ok(CompressedSeries {
-            method: self.name(),
-            bytes: encode_segments(series.start(), series.interval(), &segments)?,
-            num_segments: segments.len(),
-        })
+        compress_values(series.start(), series.interval(), series.values().iter().copied(), epsilon)
     }
 
     fn decompress(&self, compressed: &CompressedSeries) -> Result<RegularTimeSeries, CodecError> {

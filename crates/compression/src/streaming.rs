@@ -2,266 +2,30 @@
 //! "the time series are lossy compressed on the wind turbine" and shipped
 //! segment by segment over a constrained link.
 //!
-//! [`StreamingPmc`] and [`StreamingSwing`] accept points one at a time and
-//! emit closed segments as soon as the error bound forces a cut, so memory
-//! stays O(1) regardless of stream length. Their output is identical to
-//! the batch `segment_values` of the respective modules (tested below),
-//! except that the streaming side also enforces the 16-bit segment-length
-//! cap during segmentation — both algorithms are single-pass by
-//! construction; the batch API merely materializes everything at once.
-//! Cap-forced cuts are counted (`cap_cuts`) so callers that promise
-//! byte-identity with the batch frames ([`compress_source`], store chunk
-//! sealing) can fail with a typed error instead of silently diverging.
+//! Every streaming codec has exactly one encoder, and the batch API is a
+//! fold over it (push every point, then drain):
+//!
+//! * PMC — [`StreamingPmc`](crate::pmc::StreamingPmc);
+//! * Swing — [`StreamingSwing`](crate::swing::StreamingSwing);
+//! * Gorilla values — [`ValueAppender`](crate::gorilla::ValueAppender);
+//! * varbit timestamps — [`StreamAppender`](crate::timestamps::StreamAppender).
+//!
+//! The encoders never cut a segment at the 16-bit length field; the frame
+//! writers (`encode_segments`) split long segments at serialization time.
+//! So a streamed frame is byte-identical to the batch frame by
+//! construction, whatever the stream length.
 
 use tsdata::series::SeriesSource;
 
-use crate::codec::point_bound;
-use crate::codec::{check_epsilon, CodecError, CompressedSeries, PeblcCompressor};
-use crate::pmc::PmcSegment;
-use crate::swing::SwingSegment;
+use crate::codec::{CodecError, CompressedSeries, PeblcCompressor};
 use crate::Method;
-
-/// An emitted streaming segment event.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Emit<S> {
-    /// No segment closed on this point.
-    Pending,
-    /// The previous window closed with this segment.
-    Segment(S),
-}
-
-/// Online PMC-Mean: push points, receive closed segments.
-#[derive(Debug, Clone)]
-pub struct StreamingPmc {
-    epsilon: f64,
-    lo: f64,
-    hi: f64,
-    sum: f64,
-    count: usize,
-    mean: f64,
-    cap_cuts: usize,
-}
-
-impl StreamingPmc {
-    /// Creates a streaming compressor with relative bound `epsilon`.
-    pub fn new(epsilon: f64) -> Self {
-        StreamingPmc {
-            epsilon,
-            lo: f64::NEG_INFINITY,
-            hi: f64::INFINITY,
-            sum: 0.0,
-            count: 0,
-            mean: 0.0,
-            cap_cuts: 0,
-        }
-    }
-
-    /// Number of points in the open window.
-    pub fn pending_len(&self) -> usize {
-        self.count
-    }
-
-    /// How many segments were cut by the 16-bit length cap rather than the
-    /// error bound. Non-zero means this stream's segmentation diverged
-    /// from the batch compressor's (which splits at encode time, keeping
-    /// one mean per logical segment), so byte-identity no longer holds.
-    pub fn cap_cuts(&self) -> usize {
-        self.cap_cuts
-    }
-
-    /// Pushes one point; returns the segment that closed, if any.
-    pub fn push(&mut self, v: f64) -> Emit<PmcSegment> {
-        let b = point_bound(v, self.epsilon);
-        let nlo = self.lo.max(v - b);
-        let nhi = self.hi.min(v + b);
-        let nsum = self.sum + v;
-        let ncount = self.count + 1;
-        let nmean = nsum / ncount as f64;
-        if nlo <= nhi && nmean >= nlo && nmean <= nhi {
-            self.lo = nlo;
-            self.hi = nhi;
-            self.sum = nsum;
-            self.count = ncount;
-            self.mean = nmean;
-            // Respect the 16-bit segment-length storage cap.
-            if self.count == u16::MAX as usize {
-                self.cap_cuts += 1;
-                return Emit::Segment(self.take_segment(f64::NAN));
-            }
-            Emit::Pending
-        } else {
-            Emit::Segment(self.take_segment(v))
-        }
-    }
-
-    /// Flushes the open window at end of stream.
-    pub fn finish(mut self) -> Option<PmcSegment> {
-        self.drain()
-    }
-
-    /// Flushes the open window without consuming the encoder: the store
-    /// seals an active chunk this way and keeps pushing into the same
-    /// wrapper. After a drain the next `push` starts a fresh segment.
-    pub fn drain(&mut self) -> Option<PmcSegment> {
-        (self.count > 0).then(|| self.take_segment(f64::NAN))
-    }
-
-    fn take_segment(&mut self, next: f64) -> PmcSegment {
-        let seg = PmcSegment {
-            len: self.count,
-            value: crate::pmc::snap_near_mean_public(self.lo, self.hi, self.mean),
-        };
-        if next.is_nan() {
-            self.lo = f64::NEG_INFINITY;
-            self.hi = f64::INFINITY;
-            self.sum = 0.0;
-            self.count = 0;
-            self.mean = 0.0;
-        } else {
-            let b = point_bound(next, self.epsilon);
-            self.lo = next - b;
-            self.hi = next + b;
-            self.sum = next;
-            self.count = 1;
-            self.mean = next;
-        }
-        seg
-    }
-}
-
-/// Online Swing filter: push points, receive closed line segments.
-#[derive(Debug, Clone)]
-pub struct StreamingSwing {
-    epsilon: f64,
-    anchor: f64,
-    offset: usize,
-    slope_lo: f64,
-    slope_hi: f64,
-    started: bool,
-    cap_cuts: usize,
-}
-
-impl StreamingSwing {
-    /// Creates a streaming Swing filter with relative bound `epsilon`.
-    pub fn new(epsilon: f64) -> Self {
-        StreamingSwing {
-            epsilon,
-            anchor: 0.0,
-            offset: 0,
-            slope_lo: f64::NEG_INFINITY,
-            slope_hi: f64::INFINITY,
-            started: false,
-            cap_cuts: 0,
-        }
-    }
-
-    /// Number of points in the open window.
-    pub fn pending_len(&self) -> usize {
-        if self.started {
-            self.offset + 1
-        } else {
-            0
-        }
-    }
-
-    /// How many segments were cut by the 16-bit length cap rather than
-    /// the error bound (see [`StreamingPmc::cap_cuts`]).
-    pub fn cap_cuts(&self) -> usize {
-        self.cap_cuts
-    }
-
-    fn close(&mut self) -> SwingSegment {
-        let slope = if self.slope_lo.is_finite() && self.slope_hi.is_finite() {
-            (self.slope_lo + self.slope_hi) / 2.0
-        } else {
-            0.0
-        };
-        SwingSegment { len: self.offset + 1, intercept: self.anchor, slope }
-    }
-
-    fn reanchor(&mut self, v: f64) {
-        self.anchor = v;
-        self.offset = 0;
-        self.slope_lo = f64::NEG_INFINITY;
-        self.slope_hi = f64::INFINITY;
-        self.started = true;
-    }
-
-    /// Pushes one point; returns the segment that closed, if any.
-    pub fn push(&mut self, v: f64) -> Emit<SwingSegment> {
-        if !self.started {
-            self.reanchor(v);
-            return Emit::Pending;
-        }
-        // Mirrors `swing::segment_values`: exact zeros either extend a
-        // zero-anchored zero-slope line or force a cut.
-        if v == 0.0 && self.epsilon < 1.0 {
-            if self.anchor == 0.0 && self.slope_lo <= 0.0 && 0.0 <= self.slope_hi {
-                self.slope_lo = 0.0;
-                self.slope_hi = 0.0;
-                self.offset += 1;
-                return Emit::Pending;
-            }
-            let seg = self.close();
-            self.reanchor(v);
-            return Emit::Segment(seg);
-        }
-        let off = (self.offset + 1) as f64;
-        let b = point_bound(v, self.epsilon);
-        let margin = 2.0 * f32::EPSILON as f64 * (self.anchor.abs() + v.abs() + b);
-        let b_eff = b - margin;
-        let nlo = self.slope_lo.max((v - b_eff - self.anchor) / off);
-        let nhi = self.slope_hi.min((v + b_eff - self.anchor) / off);
-        let fits = b_eff > 0.0 && nlo <= nhi;
-        if fits && self.offset + 2 <= u16::MAX as usize {
-            self.slope_lo = nlo;
-            self.slope_hi = nhi;
-            self.offset += 1;
-            Emit::Pending
-        } else {
-            if fits {
-                // The bound would have admitted the point; only the 16-bit
-                // length cap forced this cut.
-                self.cap_cuts += 1;
-            }
-            let seg = self.close();
-            self.reanchor(v);
-            Emit::Segment(seg)
-        }
-    }
-
-    /// Flushes the open window at end of stream.
-    pub fn finish(mut self) -> Option<SwingSegment> {
-        self.drain()
-    }
-
-    /// Flushes the open window without consuming the filter (see
-    /// [`StreamingPmc::drain`]); the next `push` re-anchors from scratch.
-    pub fn drain(&mut self) -> Option<SwingSegment> {
-        if !self.started {
-            return None;
-        }
-        let seg = self.close();
-        self.anchor = 0.0;
-        self.offset = 0;
-        self.slope_lo = f64::NEG_INFINITY;
-        self.slope_hi = f64::INFINITY;
-        self.started = false;
-        Some(seg)
-    }
-}
 
 /// Compresses a [`SeriesSource`] under `(method, epsilon)` by streaming its
 /// values through the online encoders, producing a frame *byte-identical*
-/// to `method.compressor().compress(...)` of the materialised series. PMC
-/// and Swing never hold more than the open window; SZ is block-based and
-/// falls back to collecting the values.
-///
-/// If a segment reaches the 16-bit length cap the streaming side is forced
-/// to cut where the batch side would not (the batch encoder splits at
-/// encode time, keeping one model per logical segment), so byte-identity
-/// cannot hold — that case returns [`CodecError::SegmentCap`] instead of
-/// silently diverging.
+/// to `method.compressor().compress(...)` of the materialised series (both
+/// run the same per-codec function). PMC and Swing never hold more than
+/// the open window; SZ is block-based and falls back to collecting the
+/// values.
 ///
 /// This is how the store re-encodes chunk-backed reads: identical frame
 /// bytes mean identical sizes, segment counts and decoded series, so a
@@ -271,43 +35,11 @@ pub fn compress_source(
     method: Method,
     epsilon: f64,
 ) -> Result<CompressedSeries, CodecError> {
-    check_epsilon(epsilon)?;
+    let (start, interval) = (source.start(), source.interval());
     match method {
-        Method::Pmc => {
-            let mut enc = StreamingPmc::new(epsilon);
-            let mut segs = Vec::new();
-            for v in source.iter_values() {
-                if let Emit::Segment(s) = enc.push(v) {
-                    segs.push(s);
-                }
-            }
-            segs.extend(enc.drain());
-            if enc.cap_cuts() > 0 {
-                return Err(CodecError::SegmentCap { method: "PMC" });
-            }
-            Ok(CompressedSeries {
-                method: "PMC",
-                bytes: crate::pmc::encode_segments(source.start(), source.interval(), &segs)?,
-                num_segments: segs.len(),
-            })
-        }
+        Method::Pmc => crate::pmc::compress_values(start, interval, source.iter_values(), epsilon),
         Method::Swing => {
-            let mut enc = StreamingSwing::new(epsilon);
-            let mut segs = Vec::new();
-            for v in source.iter_values() {
-                if let Emit::Segment(s) = enc.push(v) {
-                    segs.push(s);
-                }
-            }
-            segs.extend(enc.drain());
-            if enc.cap_cuts() > 0 {
-                return Err(CodecError::SegmentCap { method: "SWING" });
-            }
-            Ok(CompressedSeries {
-                method: "SWING",
-                bytes: crate::swing::encode_segments(source.start(), source.interval(), &segs)?,
-                num_segments: segs.len(),
-            })
+            crate::swing::compress_values(start, interval, source.iter_values(), epsilon)
         }
         Method::Sz => {
             // SZ quantizes over fixed blocks, so it needs the values at
@@ -321,29 +53,21 @@ pub fn compress_source(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pmc::{PmcSegment, StreamingPmc};
+    use crate::swing::{StreamingSwing, SwingSegment};
     use tsdata::datasets::{generate_univariate, DatasetKind, GenOptions};
 
     fn drain_pmc(values: &[f64], eps: f64) -> Vec<PmcSegment> {
         let mut s = StreamingPmc::new(eps);
-        let mut out = Vec::new();
-        for &v in values {
-            if let Emit::Segment(seg) = s.push(v) {
-                out.push(seg);
-            }
-        }
-        out.extend(s.finish());
+        let mut out: Vec<PmcSegment> = values.iter().filter_map(|&v| s.push(v)).collect();
+        out.extend(s.drain());
         out
     }
 
     fn drain_swing(values: &[f64], eps: f64) -> Vec<SwingSegment> {
         let mut s = StreamingSwing::new(eps);
-        let mut out = Vec::new();
-        for &v in values {
-            if let Emit::Segment(seg) = s.push(v) {
-                out.push(seg);
-            }
-        }
-        out.extend(s.finish());
+        let mut out: Vec<SwingSegment> = values.iter().filter_map(|&v| s.push(v)).collect();
+        out.extend(s.drain());
         out
     }
 
@@ -379,6 +103,36 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_points_stay_covered() {
+        // A NaN admits no window, so it closes the open one and sits in a
+        // one-point segment of its own; ±inf likewise. No point is lost.
+        let values = [10.0, 10.1, f64::NAN, 10.2, f64::INFINITY, f64::NEG_INFINITY, 10.0, f64::NAN];
+        for eps in [0.0, 0.1, 0.8] {
+            let pmc: usize = drain_pmc(&values, eps).iter().map(|s| s.len).sum();
+            let swing: usize = drain_swing(&values, eps).iter().map(|s| s.len).sum();
+            assert_eq!((pmc, swing), (values.len(), values.len()), "eps {eps}");
+        }
+        let segs = drain_pmc(&values, 0.1);
+        assert_eq!(segs[1].len, 1);
+        assert!(segs[1].value.is_nan());
+    }
+
+    #[test]
+    fn long_segments_stay_whole_in_the_encoders() {
+        // Neither encoder cuts at the 16-bit length field: that split
+        // happens only when the frame is written.
+        let n = 200_000;
+        let mut p = StreamingPmc::new(0.1);
+        let mut w = StreamingSwing::new(0.1);
+        for _ in 0..n {
+            assert!(p.push(5.0).is_none());
+            assert!(w.push(5.0).is_none());
+        }
+        assert_eq!(p.drain(), Some(PmcSegment { len: n, value: 5.0 }));
+        assert_eq!(w.drain().map(|s| s.len), Some(n));
+    }
+
+    #[test]
     fn compress_source_is_byte_identical_to_batch() {
         for kind in [DatasetKind::ETTm1, DatasetKind::Solar, DatasetKind::Wind] {
             let series = generate_univariate(kind, GenOptions::with_len(2_500));
@@ -402,22 +156,9 @@ mod tests {
     }
 
     #[test]
-    fn pending_len_tracks_open_window() {
-        let mut s = StreamingPmc::new(0.5);
-        assert_eq!(s.pending_len(), 0);
-        s.push(10.0);
-        s.push(10.1);
-        assert_eq!(s.pending_len(), 2);
-        let mut w = StreamingSwing::new(0.5);
-        w.push(1.0);
-        w.push(2.0);
-        assert_eq!(w.pending_len(), 2);
-    }
-
-    #[test]
-    fn empty_stream_finishes_empty() {
-        assert!(StreamingPmc::new(0.1).finish().is_none());
-        assert!(StreamingSwing::new(0.1).finish().is_none());
+    fn empty_stream_drains_empty() {
+        assert!(StreamingPmc::new(0.1).drain().is_none());
+        assert!(StreamingSwing::new(0.1).drain().is_none());
     }
 
     #[test]
@@ -428,11 +169,10 @@ mod tests {
         p.push(10.0);
         p.push(10.2);
         assert_eq!(p.drain().map(|s| s.len), Some(2));
-        assert_eq!(p.pending_len(), 0);
         assert!(p.drain().is_none(), "second drain on an empty window");
         // 50.0 would have violated the [10-ish] window; a fresh segment
         // accepts it as its first point.
-        assert_eq!(p.push(50.0), Emit::Pending);
+        assert_eq!(p.push(50.0), None);
         assert_eq!(p.drain(), Some(PmcSegment { len: 1, value: 50.0 }));
 
         let mut w = StreamingSwing::new(0.1);
@@ -440,10 +180,9 @@ mod tests {
         w.push(2.0);
         let seg = w.drain().unwrap();
         assert_eq!((seg.len, seg.intercept), (2, 1.0));
-        assert_eq!(w.pending_len(), 0);
         assert!(w.drain().is_none());
         // The next point re-anchors: drained state must not constrain it.
-        assert_eq!(w.push(-7.0), Emit::Pending);
+        assert_eq!(w.push(-7.0), None);
         let seg = w.drain().unwrap();
         assert_eq!((seg.len, seg.intercept, seg.slope), (1, -7.0, 0.0));
     }
@@ -457,11 +196,7 @@ mod tests {
             let mut s = StreamingPmc::new(0.1);
             let mut streamed = Vec::new();
             for chunk in series.values().chunks(k) {
-                for &v in chunk {
-                    if let Emit::Segment(seg) = s.push(v) {
-                        streamed.push(seg);
-                    }
-                }
+                streamed.extend(chunk.iter().filter_map(|&v| s.push(v)));
                 streamed.extend(s.drain());
             }
             let batch: Vec<PmcSegment> = series
@@ -470,56 +205,6 @@ mod tests {
                 .flat_map(|c| crate::pmc::segment_values(c, 0.1))
                 .collect();
             assert_eq!(streamed, batch, "k={k}");
-        }
-    }
-
-    #[test]
-    fn long_constant_stream_respects_u16_cap() {
-        let mut s = StreamingPmc::new(0.1);
-        let mut segments = 0;
-        for _ in 0..200_000 {
-            if let Emit::Segment(seg) = s.push(5.0) {
-                assert!(seg.len <= u16::MAX as usize);
-                segments += 1;
-            }
-        }
-        assert!(segments >= 3, "u16 cap should have forced cuts: {segments}");
-        // Every one of those cuts was cap-forced, not bound-forced, and
-        // the encoder kept count of each.
-        assert_eq!(s.cap_cuts(), segments);
-    }
-
-    #[test]
-    fn swing_counts_cap_forced_cuts() {
-        let mut s = StreamingSwing::new(0.1);
-        for _ in 0..70_000 {
-            s.push(5.0);
-        }
-        assert_eq!(s.cap_cuts(), 1, "one cap cut past u16::MAX constant points");
-        // Bound-forced cuts don't count: alternate far-apart values so
-        // every point breaks the previous line.
-        let mut s = StreamingSwing::new(0.01);
-        for i in 0..1_000 {
-            s.push(if i % 2 == 0 { 1.0 } else { 100.0 });
-        }
-        assert_eq!(s.cap_cuts(), 0);
-    }
-
-    #[test]
-    fn compress_source_errors_at_segment_cap() {
-        use tsdata::series::RegularTimeSeries;
-        // 70k identical values form one logical segment longer than
-        // u16::MAX. The batch compressor keeps one model and splits at
-        // encode time; the streaming side would have to cut mid-segment
-        // (changing the fitted model), so byte-identity is impossible and
-        // the typed error replaces the old documented caveat.
-        let series = RegularTimeSeries::new(0, 60, vec![5.0; 70_000]).unwrap();
-        for method in [Method::Pmc, Method::Swing] {
-            let err = compress_source(&series, method, 0.1).unwrap_err();
-            assert!(matches!(err, CodecError::SegmentCap { .. }), "{method:?}: {err}");
-            // The batch side still compresses the same series fine.
-            let batch = method.compressor().compress(&series, 0.1).unwrap();
-            assert_eq!(batch.num_segments, 1, "{method:?}");
         }
     }
 }

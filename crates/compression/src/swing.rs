@@ -46,81 +46,147 @@ impl SwingSegment {
     }
 }
 
-/// Runs the Swing filter over raw values, returning line segments.
-pub fn segment_values(values: &[f64], epsilon: f64) -> Vec<SwingSegment> {
-    let mut segments = Vec::new();
-    if values.is_empty() {
-        return segments;
-    }
-    let mut anchor = values[0];
-    let mut start = 0usize;
-    let mut slope_lo = f64::NEG_INFINITY;
-    let mut slope_hi = f64::INFINITY;
+/// Online Swing filter: push points one at a time, receive each line
+/// segment as soon as the error bound closes it. This is the one Swing
+/// encoder: the batch [`segment_values`], [`Swing::compress`],
+/// `compress_source` and the store's chunk appends all fold over it.
+#[derive(Debug, Clone)]
+pub struct StreamingSwing {
+    epsilon: f64,
+    /// The open window's first value.
+    anchor: f64,
+    /// Points in the open window (0 before the first point and after a
+    /// drain).
+    len: usize,
+    slope_lo: f64,
+    slope_hi: f64,
+}
 
-    let mut i = 1usize;
-    while i < values.len() {
-        let v = values[i];
+impl StreamingSwing {
+    /// Creates a filter with relative bound `epsilon`.
+    pub fn new(epsilon: f64) -> Self {
+        StreamingSwing {
+            epsilon,
+            anchor: 0.0,
+            len: 0,
+            slope_lo: f64::NEG_INFINITY,
+            slope_hi: f64::INFINITY,
+        }
+    }
+
+    /// Pushes one point; returns the segment it closed, if any.
+    #[inline]
+    pub fn push(&mut self, v: f64) -> Option<SwingSegment> {
+        if self.len == 0 {
+            self.anchor = v;
+            self.len = 1;
+            return None;
+        }
+        let anchor = self.anchor;
         // Exact zeros have a zero bound under the relative-error model, so
         // the reconstruction must hit them exactly. A zero-anchored
         // zero-slope line represents runs of zeros; any other case forces
         // a new segment anchored at the zero (a pinned nonzero slope would
         // not survive single-precision coefficient storage).
-        if v == 0.0 && epsilon < 1.0 {
-            if anchor == 0.0 && slope_lo <= 0.0 && 0.0 <= slope_hi {
-                slope_lo = 0.0;
-                slope_hi = 0.0;
-            } else {
-                segments.push(close_segment(start, i, anchor, slope_lo, slope_hi));
-                anchor = v;
-                start = i;
-                slope_lo = f64::NEG_INFINITY;
-                slope_hi = f64::INFINITY;
+        if v == 0.0 && self.epsilon < 1.0 {
+            if anchor == 0.0 && self.slope_lo <= 0.0 && 0.0 <= self.slope_hi {
+                self.slope_lo = 0.0;
+                self.slope_hi = 0.0;
+                self.len += 1;
+                return None;
             }
-            i += 1;
-            continue;
-        }
-        let off = (i - start) as f64;
-        // Shrink the bound by the worst-case single-precision coefficient
-        // rounding (|Δanchor| + off·|Δslope|, with off·|slope| bounded by
-        // |v| + |anchor| + b), so the stored f32 line still satisfies the
-        // exact bound.
-        let b = point_bound(v, epsilon);
-        let margin = 2.0 * f32::EPSILON as f64 * (anchor.abs() + v.abs() + b);
-        let b_eff = b - margin;
-        let nlo = slope_lo.max((v - b_eff - anchor) / off);
-        let nhi = slope_hi.min((v + b_eff - anchor) / off);
-        if b_eff > 0.0 && nlo <= nhi {
-            slope_lo = nlo;
-            slope_hi = nhi;
         } else {
-            segments.push(close_segment(start, i, anchor, slope_lo, slope_hi));
-            anchor = v;
-            start = i;
-            slope_lo = f64::NEG_INFINITY;
-            slope_hi = f64::INFINITY;
+            // The new point's offset (in samples) from the anchor.
+            let off = self.len as f64;
+            // Shrink the bound by the worst-case single-precision
+            // coefficient rounding (|Δanchor| + off·|Δslope|, with
+            // off·|slope| bounded by |v| + |anchor| + b), so the stored f32
+            // line still satisfies the exact bound.
+            let b = point_bound(v, self.epsilon);
+            let margin = 2.0 * f32::EPSILON as f64 * (anchor.abs() + v.abs() + b);
+            let b_eff = b - margin;
+            let nlo = self.slope_lo.max((v - b_eff - anchor) / off);
+            let nhi = self.slope_hi.min((v + b_eff - anchor) / off);
+            if b_eff > 0.0 && nlo <= nhi {
+                self.slope_lo = nlo;
+                self.slope_hi = nhi;
+                self.len += 1;
+                return None;
+            }
         }
-        i += 1;
+        // Close the window without the latest point, which anchors the
+        // next one.
+        let closed = self.segment();
+        self.anchor = v;
+        self.len = 1;
+        self.slope_lo = f64::NEG_INFINITY;
+        self.slope_hi = f64::INFINITY;
+        closed
     }
-    segments.push(close_segment(start, values.len(), anchor, slope_lo, slope_hi));
+
+    /// Flushes the open window, leaving the filter empty: the next `push`
+    /// re-anchors from scratch. End of stream and the store's chunk seal
+    /// both flush this way.
+    pub fn drain(&mut self) -> Option<SwingSegment> {
+        let closed = self.segment();
+        *self = Self::new(self.epsilon);
+        closed
+    }
+
+    /// The open window as a line segment, if it holds any point.
+    fn segment(&self) -> Option<SwingSegment> {
+        if self.len == 0 {
+            return None;
+        }
+        let slope = if self.slope_lo.is_finite() && self.slope_hi.is_finite() {
+            // The mean of the surviving slope bounds, exactly as
+            // ModelarDB's Swing computes its coefficients (§3.2
+            // "Implementations Used").
+            (self.slope_lo + self.slope_hi) / 2.0
+        } else {
+            // Single-point segment: any slope works; use 0.
+            0.0
+        };
+        Some(SwingSegment { len: self.len, intercept: self.anchor, slope })
+    }
+}
+
+/// Runs the Swing filter over raw values, returning line segments.
+pub fn segment_values(values: &[f64], epsilon: f64) -> Vec<SwingSegment> {
+    fold(StreamingSwing::new(epsilon), values.iter().copied())
+}
+
+/// Pushes every value through `enc`, then drains it.
+fn fold(mut enc: StreamingSwing, values: impl IntoIterator<Item = f64>) -> Vec<SwingSegment> {
+    let mut segments = Vec::new();
+    for v in values {
+        segments.extend(enc.push(v));
+    }
+    segments.extend(enc.drain());
     segments
 }
 
-fn close_segment(start: usize, end: usize, anchor: f64, lo: f64, hi: f64) -> SwingSegment {
-    let len = end - start;
-    let slope = if !lo.is_finite() || !hi.is_finite() {
-        // Single-point segment: any slope works; use 0.
-        0.0
-    } else {
-        // The mean of the surviving slope bounds, exactly as ModelarDB's
-        // Swing computes its coefficients (§3.2 "Implementations Used").
-        (lo + hi) / 2.0
-    };
-    SwingSegment { len, intercept: anchor, slope }
+/// The Swing frame of a value stream: the one compress path behind
+/// [`Swing::compress`] and `compress_source`.
+pub(crate) fn compress_values(
+    start: i64,
+    interval: i64,
+    values: impl IntoIterator<Item = f64>,
+    epsilon: f64,
+) -> Result<CompressedSeries, CodecError> {
+    check_epsilon(epsilon)?;
+    let segments = fold(StreamingSwing::new(epsilon), values);
+    Ok(CompressedSeries {
+        method: "SWING",
+        bytes: encode_segments(start, interval, &segments)?,
+        num_segments: segments.len(),
+    })
 }
 
 /// Serializes already-segmented Swing output into the deflated frame format
-/// `Swing::decompress` reads (the batch `compress` is `segment_values` plus
-/// this; the store re-encodes streamed segments through the same path).
+/// `Swing::decompress` reads. Segments longer than the 16-bit length field
+/// are split here, and only here, so the filter never cuts at the cap; the
+/// store seals its streamed segments through the same path.
 pub fn encode_segments(
     start: i64,
     interval: i64,
@@ -159,13 +225,7 @@ impl PeblcCompressor for Swing {
         series: &RegularTimeSeries,
         epsilon: f64,
     ) -> Result<CompressedSeries, CodecError> {
-        check_epsilon(epsilon)?;
-        let segments = segment_values(series.values(), epsilon);
-        Ok(CompressedSeries {
-            method: self.name(),
-            bytes: encode_segments(series.start(), series.interval(), &segments)?,
-            num_segments: segments.len(),
-        })
+        compress_values(series.start(), series.interval(), series.values().iter().copied(), epsilon)
     }
 
     fn decompress(&self, compressed: &CompressedSeries) -> Result<RegularTimeSeries, CodecError> {

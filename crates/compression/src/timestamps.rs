@@ -141,51 +141,21 @@ pub fn encode_stream_blocked(ts: &[i64]) -> Vec<u8> {
     out
 }
 
-/// Encodes with the varbit format unconditionally: one Gorilla-style
-/// prefix code per delta-of-delta ('0' for zero, then 7/9/12-bit windows,
-/// then a raw 64-bit escape). This is the scalar per-value-branch baseline
+/// Encodes with the varbit format unconditionally by folding `ts` through
+/// one [`StreamAppender`]. This is the scalar per-value-branch baseline
 /// the codecs bench measures the blocked format against.
 pub fn encode_stream_varbit(ts: &[i64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 + ts.len());
-    out.push(STREAM_VARBIT);
-    out.extend_from_slice(&(ts.len() as u32).to_le_bytes());
-    if ts.is_empty() {
-        return out;
+    let mut a = StreamAppender::with_capacity(ts.len());
+    for &t in ts {
+        a.push(t);
     }
-    out.extend_from_slice(&ts[0].to_le_bytes());
-    let mut bits = BitWriter::with_capacity(ts.len() * 10);
-    let mut prev_delta = 0i64;
-    for pair in ts.windows(2) {
-        let d = pair[1].wrapping_sub(pair[0]);
-        let dod = d.wrapping_sub(prev_delta);
-        prev_delta = d;
-        if dod == 0 {
-            bits.write_bit(false);
-        } else if (-63..=64).contains(&dod) {
-            bits.write_bits(0b10, 2);
-            bits.write_bits((dod + 63) as u64, 7);
-        } else if (-255..=256).contains(&dod) {
-            bits.write_bits(0b110, 3);
-            bits.write_bits((dod + 255) as u64, 9);
-        } else if (-2047..=2048).contains(&dod) {
-            bits.write_bits(0b1110, 4);
-            bits.write_bits((dod + 2047) as u64, 12);
-        } else {
-            bits.write_bits(0b1111, 4);
-            bits.write_bits(dod as u64, 64);
-        }
-    }
-    let payload = bits.into_bytes();
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
+    a.into_bytes()
 }
 
-/// Stateful point-at-a-time timestamp encoder for the store's append path.
-///
-/// Pushing timestamps one by one and finalizing yields bytes identical to
-/// [`encode_stream_varbit`] over the same vector (tested below), so sealed
-/// chunks decode through the ordinary [`decode_stream`].
+/// The one [`STREAM_VARBIT`] encoder: a stateful point-at-a-time
+/// delta-of-delta coder. [`encode_stream_varbit`] folds a whole vector
+/// through it and the store appends chunk timestamps to it; both decode
+/// through the ordinary [`decode_stream`].
 #[derive(Debug, Clone)]
 pub struct StreamAppender {
     first: i64,
@@ -204,7 +174,19 @@ impl Default for StreamAppender {
 impl StreamAppender {
     /// Creates an empty appender.
     pub fn new() -> Self {
-        StreamAppender { first: 0, prev: 0, prev_delta: 0, count: 0, bits: BitWriter::new() }
+        Self::with_capacity(0)
+    }
+
+    /// Creates an empty appender presized for `n` timestamps at ~10 bits
+    /// each, which covers a jittered cadence without reallocating.
+    fn with_capacity(n: usize) -> Self {
+        StreamAppender {
+            first: 0,
+            prev: 0,
+            prev_delta: 0,
+            count: 0,
+            bits: BitWriter::with_capacity(n * 10),
+        }
     }
 
     /// Number of timestamps appended so far.
@@ -217,7 +199,10 @@ impl StreamAppender {
         self.count == 0
     }
 
-    /// Appends one timestamp (must be pushed in stream order).
+    /// Appends one timestamp (must be pushed in stream order): one
+    /// Gorilla-style prefix code per delta-of-delta ('0' for zero, then
+    /// 7/9/12-bit windows, then a raw 64-bit escape).
+    #[inline]
     pub fn push(&mut self, ts: i64) {
         if self.count == 0 {
             self.first = ts;

@@ -1,20 +1,21 @@
 //! The per-series active append chunk.
 //!
-//! Each series has at most one open chunk accepting points. Gorilla chunks
-//! append through the stateful delta-of-delta timestamp and XOR value
-//! encoders (`compression::timestamps::StreamAppender`,
-//! `compression::gorilla::ValueAppender`); error-bounded chunks run the
-//! online PMC/Swing encoders (`compression::streaming`) and keep only the
-//! open window plus closed segments, while SZ (block-based) buffers the
-//! chunk's values. Sealing drains the encoder into a [`SealedChunk`]
-//! payload; the encoders' `drain` methods guarantee a fresh segment after
-//! the cut (see the `streaming` regression tests).
+//! Each series has at most one open chunk accepting points, and each chunk
+//! pushes into the one encoder its codec has — the same encoder the batch
+//! `compress` folds over (see `compression::streaming`). Gorilla chunks
+//! append to the delta-of-delta timestamp and XOR value encoders
+//! (`compression::timestamps::StreamAppender`,
+//! `compression::gorilla::ValueAppender`); PMC/Swing chunks keep only the
+//! open window plus closed segments; SZ (block-based) buffers the chunk's
+//! values. Sealing drains the encoder and writes the codec's ordinary frame,
+//! so a sealed payload is byte-identical to the batch frame of the chunk's
+//! values.
 
 use compression::gorilla::ValueAppender;
 use compression::pmc::PmcSegment;
 use compression::swing::SwingSegment;
 use compression::timestamps::StreamAppender;
-use compression::{Emit, PeblcCompressor, StreamingPmc, StreamingSwing, Sz};
+use compression::{PeblcCompressor, StreamingPmc, StreamingSwing, Sz};
 use tsdata::series::RegularTimeSeries;
 
 use crate::chunk::{ChunkCodec, SealedChunk};
@@ -73,16 +74,8 @@ impl ActiveChunk {
                 tenc.push(ts);
                 vals.push(value);
             }
-            Enc::Pmc { enc, segs } => {
-                if let Emit::Segment(s) = enc.push(value) {
-                    segs.push(s);
-                }
-            }
-            Enc::Swing { enc, segs } => {
-                if let Emit::Segment(s) = enc.push(value) {
-                    segs.push(s);
-                }
-            }
+            Enc::Pmc { enc, segs } => segs.extend(enc.push(value)),
+            Enc::Swing { enc, segs } => segs.extend(enc.push(value)),
             Enc::Sz { buf } => buf.push(value),
         }
     }
@@ -99,21 +92,11 @@ impl ActiveChunk {
                 (payload, 1)
             }
             Enc::Pmc { mut enc, mut segs } => {
-                // A cap-forced cut means the chunk's segmentation diverged
-                // from the batch compressor's, voiding the store's
-                // byte-identity contract — surface it instead of sealing a
-                // frame that silently differs from `Pmc::compress`.
-                if enc.cap_cuts() > 0 {
-                    return Err(compression::CodecError::SegmentCap { method: "PMC" }.into());
-                }
                 segs.extend(enc.drain());
                 let n = segs.len();
                 (compression::pmc::encode_segments(self.start_ts, interval, &segs)?, n)
             }
             Enc::Swing { mut enc, mut segs } => {
-                if enc.cap_cuts() > 0 {
-                    return Err(compression::CodecError::SegmentCap { method: "SWING" }.into());
-                }
                 segs.extend(enc.drain());
                 let n = segs.len();
                 (compression::swing::encode_segments(self.start_ts, interval, &segs)?, n)

@@ -12,8 +12,9 @@
 //! Each series carries its own codec selection: [`ChunkCodec::Gorilla`]
 //! stages raw data losslessly (delta-of-delta timestamps + XOR values),
 //! while the paper's error-bounded codecs (PMC/Swing/SZ) encode chunks
-//! under a relative bound ε at ingest, reusing the `compression::streaming`
-//! online encoders so sealed payloads match the batch codecs' frames.
+//! under a relative bound ε at ingest, pushing into the same online
+//! encoder each batch codec folds over, so sealed payloads are the batch
+//! codecs' frames.
 //!
 //! The series map is a single `RwLock<HashMap>` keyed by [`SeriesId`]:
 //! lookups are O(1) and appends to different series contend only on the
@@ -484,23 +485,22 @@ mod tests {
     }
 
     #[test]
-    fn seal_errors_when_a_segment_hits_the_16bit_cap() {
+    fn chunks_past_the_16bit_segment_length_seal_the_batch_frame() {
         // A seal policy lax enough to let one chunk exceed u16::MAX points
-        // can force the online encoder to cut a segment at the cap, which
-        // breaks the frame byte-identity contract with the batch codecs —
-        // sealing must surface the typed error, not silently diverge.
+        // keeps a constant run as one segment; the frame writer splits it,
+        // exactly as the batch compressor does.
+        use compression::PeblcCompressor;
         let store = TsStore::new(StoreConfig { max_chunk_points: 100_000, chunk_span: None });
         let id = SeriesId(11);
-        store.create_series(id, ChunkCodec::Pmc, 0.1).unwrap();
-        store.append_batch(id, (0..70_000).map(|i| (i * 60, 5.0))).unwrap();
-        let err = store.seal_series(id).unwrap_err();
-        assert!(
-            matches!(err, StoreError::Codec(compression::CodecError::SegmentCap { method: "PMC" })),
-            "{err}"
-        );
-        // The default policy keeps every chunk under the cap, so the
-        // error is unreachable without an explicit config override.
-        assert!(StoreConfig::default().max_chunk_points <= u16::MAX as usize);
+        let series = RegularTimeSeries::new(0, 60, vec![5.0; 70_000]).unwrap();
+        store.ingest(id, ChunkCodec::Pmc, 0.1, &series).unwrap();
+        let view = store.read(id).unwrap();
+        let chunk = view.chunks().next().unwrap();
+        assert_eq!(chunk.num_segments(), 1);
+        assert_eq!(chunk.decode().unwrap().values(), series.values());
+        let streamed = compression::compress_source(&view, compression::Method::Pmc, 0.1).unwrap();
+        let batch = compression::Pmc.compress(&series, 0.1).unwrap();
+        assert_eq!(streamed.bytes, batch.bytes);
     }
 
     #[test]
