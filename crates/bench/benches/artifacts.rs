@@ -33,7 +33,7 @@ fn bench_fit_or_load(c: &mut Criterion) {
     let mut cfg = GridConfig::smoke();
     cfg.len = Some(2_000);
     let ctx = GridContext::new(cfg.clone());
-    let ds = ctx.dataset(DatasetKind::ETTm1);
+    let ds = ctx.try_dataset(DatasetKind::ETTm1).expect("dataset splits");
 
     let mut group = c.benchmark_group("fit_or_load");
     for kind in [ModelKind::GBoost, ModelKind::DLinear] {
@@ -99,7 +99,7 @@ fn bench_codec(c: &mut Criterion) {
     let mut cfg = GridConfig::smoke();
     cfg.len = Some(2_000);
     let ctx = GridContext::new(cfg.clone());
-    let ds = ctx.dataset(DatasetKind::ETTm1);
+    let ds = ctx.try_dataset(DatasetKind::ETTm1).expect("dataset splits");
     let opts = BuildOptions {
         input_len: cfg.input_len,
         horizon: cfg.horizon,

@@ -88,7 +88,7 @@ fn bench_transform_cache(c: &mut Criterion) {
     cfg.len = Some(4_000);
     let ctx = GridContext::new(cfg);
     let kind = DatasetKind::ETTm1;
-    let ds = ctx.dataset(kind);
+    let ds = ctx.try_dataset(kind).expect("dataset splits");
     let mut group = c.benchmark_group("transform_cache");
     group.throughput(Throughput::Elements(ds.split.test.len() as u64));
     group.bench_function("uncached", |bench| {

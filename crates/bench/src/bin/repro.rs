@@ -65,7 +65,7 @@ fn main() {
     let mut forecast: Option<forecasting_exp::ForecastExperiment> = None;
     let mut elbows: Option<elbows_exp::Table5> = None;
     let mut chars: Option<characteristics_exp::CharacteristicsExperiment> = None;
-    let mut retrain: Option<retrain_exp::RetrainGrid> = None;
+    let mut retrain: Option<evalcore::GridReport<evalcore::ForecastRecord>> = None;
 
     let get_compression =
         |cfg: &evalcore::GridConfig, cache: &mut Option<compression_exp::CompressionExperiment>| {
@@ -153,9 +153,9 @@ fn main() {
                         ev.coord
                     );
                 });
-                let grid = retrain_exp::run_grid_with(&engine);
-                let rendered = grid.render();
-                retrain = Some(grid);
+                let report = engine.retrain_report();
+                let rendered = retrain_exp::render_grid(&report);
+                retrain = Some(report);
                 rendered
             }
             Experiment::All => unreachable!("expanded above"),
@@ -197,8 +197,8 @@ fn main() {
             }
             write("fig4_points.csv", fig4);
         }
-        if let Some(grid) = &retrain {
-            write("retrain.csv", evalcore::results::forecast_csv(&grid.records));
+        if let Some(report) = &retrain {
+            write("retrain.csv", evalcore::results::forecast_csv(&report.records));
         }
     }
 

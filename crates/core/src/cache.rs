@@ -10,7 +10,7 @@
 //! datasets (series, split, and raw compressed size), so the compression
 //! grid, the Gorilla baseline, and both forecast grids can share one
 //! generation pass. [`GridContext`] bundles both caches with the grid
-//! configuration and is the handle the grid runners thread through.
+//! configuration and is the handle every engine task runs against.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -417,13 +417,6 @@ impl GridContext {
         })
     }
 
-    /// Panicking convenience wrapper around [`GridContext::try_dataset`]
-    /// for callers outside the engine (benches, tests) that run on
-    /// configurations known to split cleanly.
-    pub fn dataset(&self, kind: DatasetKind) -> Arc<CachedDataset> {
-        self.try_dataset(kind).expect("dataset generates and splits cleanly")
-    }
-
     /// The transform `T(subset | method, ε)` for a dataset, computed at
     /// most once per key. [`Subset::Full`] transforms the target channel
     /// of the whole series (the compression grid's measurement); the
@@ -552,8 +545,8 @@ mod tests {
         let mut cfg = GridConfig::smoke();
         cfg.len = Some(1_200);
         let ctx = GridContext::new(cfg);
-        let a = ctx.dataset(DatasetKind::ETTm1);
-        let b = ctx.dataset(DatasetKind::ETTm1);
+        let a = ctx.try_dataset(DatasetKind::ETTm1).expect("dataset splits");
+        let b = ctx.try_dataset(DatasetKind::ETTm1).expect("dataset splits");
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(ctx.datasets.misses(), 1);
         assert_eq!(ctx.datasets.hits(), 1);

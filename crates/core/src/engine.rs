@@ -61,7 +61,7 @@ use crate::results::{CompressionRecord, ForecastRecord, TaskFailure};
 use crate::scenario::{
     score_scenario_with, score_transformed, score_windows, ScenarioError, ScenarioOutcome,
 };
-use crate::sched::{self, Backpressure, ChaosSchedule, RunStats};
+use crate::sched::{self, ChaosSchedule, RunStats};
 
 /// Grid coordinates identifying one task. Fields that do not apply to a
 /// task family are `None` (e.g. a [`CompressionTask`] has no model/seed).
@@ -703,7 +703,6 @@ impl<'c> Engine<'c> {
             shards,
             self.queue_capacity,
             chaos,
-            Backpressure::Block,
             |i| tasks[i].coord().shard_key(),
             |i, inject_callback_panic| {
                 let outcome = self.run_one(&tasks[i]);
@@ -720,8 +719,7 @@ impl<'c> Engine<'c> {
                 );
                 outcome
             },
-        )
-        .expect("blocking backpressure never rejects a task");
+        );
         stats.callback_panics = callback_panics.load(Ordering::Relaxed);
         (outcomes, stats)
     }

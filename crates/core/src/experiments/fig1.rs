@@ -5,8 +5,6 @@
 use compression::{Method, ALL_METHODS};
 use tsdata::datasets::{generate_univariate, DatasetKind, GenOptions};
 
-use crate::grid::run_parallel;
-
 /// One decompressed curve of the figure.
 #[derive(Debug, Clone)]
 pub struct Curve {
@@ -39,15 +37,17 @@ pub fn run(dataset: DatasetKind, segment_len: usize, seed: u64) -> Fig1 {
     );
     let segment =
         series.segment(segment_len, 2 * segment_len).expect("generated series covers the segment");
-    // One (method, ε) curve per task, scheduled on the worker pool.
-    let cells: Vec<(Method, f64)> =
-        ALL_METHODS.iter().flat_map(|&m| [0.05, 0.1].map(|eps| (m, eps))).collect();
-    let curves = run_parallel(cells.len(), cells.len(), |i| {
-        let (method, epsilon) = cells[i];
-        let (d, _) =
-            method.compressor().transform(&segment, epsilon).expect("segment compresses cleanly");
-        Curve { method, epsilon, values: d.into_values() }
-    });
+    let curves = ALL_METHODS
+        .iter()
+        .flat_map(|&method| [0.05, 0.1].map(|epsilon| (method, epsilon)))
+        .map(|(method, epsilon)| {
+            let (d, _) = method
+                .compressor()
+                .transform(&segment, epsilon)
+                .expect("segment compresses cleanly");
+            Curve { method, epsilon, values: d.into_values() }
+        })
+        .collect();
     Fig1 { dataset, original: segment.into_values(), curves }
 }
 

@@ -9,10 +9,9 @@ use tsdata::metrics::{rmse, tfe};
 
 use super::fmt::{f, TextTable};
 use crate::cache::GridContext;
-use crate::engine::Engine;
+use crate::engine::{Engine, GridReport};
 use crate::grid::GridConfig;
-use crate::results::{failure_summary, mean, ForecastRecord, TaskFailure};
-use tsdata::metrics::MetricSet;
+use crate::results::{failure_summary, mean, ForecastRecord};
 
 /// One Figure-7 point: TFE of a retrained model.
 #[derive(Debug, Clone, Copy)]
@@ -102,69 +101,37 @@ impl Fig7 {
     }
 }
 
-/// The full §4.4.1 retraining grid as an experiment: every configured
-/// `(dataset, model, seed, method, ε)` cell retrained on decompressed
-/// data, with per-task failures recorded (the `repro` CLI's `retrain`
-/// experiment).
-#[derive(Debug, Clone)]
-pub struct RetrainGrid {
-    /// Raw per-seed records (baseline rows have `method: None`).
-    pub records: Vec<ForecastRecord>,
-    /// Tasks that failed or panicked.
-    pub failures: Vec<TaskFailure>,
-}
-
-/// Runs the configured retrain grid through a caller-supplied [`Engine`]
-/// (lets the CLI attach progress/cancellation hooks).
-pub fn run_grid_with(engine: &Engine<'_>) -> RetrainGrid {
-    let report = engine.retrain_report();
-    RetrainGrid { records: report.records, failures: report.failures }
-}
-
-/// Runs the configured retrain grid with a default engine.
-pub fn run_grid(config: &GridConfig) -> RetrainGrid {
-    let ctx = GridContext::new(config.clone());
-    let engine = Engine::new(&ctx);
-    run_grid_with(&engine)
-}
-
-impl RetrainGrid {
-    /// Baseline metrics for a `(dataset, model, seed)`.
-    fn baseline(&self, dataset: DatasetKind, model: ModelKind, seed: u64) -> Option<MetricSet> {
-        self.records
-            .iter()
-            .find(|r| {
-                r.dataset == dataset && r.model == model && r.seed == seed && r.method.is_none()
-            })
-            .map(|r| r.metrics)
+/// Renders the full §4.4.1 retraining grid (`Engine::retrain_report`,
+/// the `repro` CLI's `retrain` experiment): per-cell RMSE and TFE against
+/// the raw-trained baseline of the same `(dataset, model, seed)`, plus a
+/// partial-grid note when tasks were lost.
+pub fn render_grid(report: &GridReport<ForecastRecord>) -> String {
+    let baseline = |r: &ForecastRecord| {
+        report.records.iter().find(|b| {
+            b.dataset == r.dataset && b.model == r.model && b.seed == r.seed && b.method.is_none()
+        })
+    };
+    let mut t = TextTable::new(&["Dataset", "Model", "Seed", "Method", "EB", "RMSE", "TFE"]);
+    for r in &report.records {
+        let Some(method) = r.method else { continue };
+        let tfe_cell = baseline(r)
+            .map(|b| f(tfe(b.metrics.rmse, r.metrics.rmse), 4))
+            .unwrap_or_else(|| "-".to_string());
+        t.row(vec![
+            r.dataset.name().to_string(),
+            r.model.name().to_string(),
+            r.seed.to_string(),
+            method.name().to_string(),
+            f(r.epsilon, 2),
+            f(r.metrics.rmse, 4),
+            tfe_cell,
+        ]);
     }
-
-    /// Renders the grid: per-cell RMSE and TFE against the raw-trained
-    /// baseline, plus a partial-grid note when tasks were lost.
-    pub fn render(&self) -> String {
-        let mut t = TextTable::new(&["Dataset", "Model", "Seed", "Method", "EB", "RMSE", "TFE"]);
-        for r in &self.records {
-            let Some(method) = r.method else { continue };
-            let tfe_cell = self
-                .baseline(r.dataset, r.model, r.seed)
-                .map(|b| f(tfe(b.rmse, r.metrics.rmse), 4))
-                .unwrap_or_else(|| "-".to_string());
-            t.row(vec![
-                r.dataset.name().to_string(),
-                r.model.name().to_string(),
-                r.seed.to_string(),
-                method.name().to_string(),
-                f(r.epsilon, 2),
-                f(r.metrics.rmse, 4),
-                tfe_cell,
-            ]);
-        }
-        let mut out = format!("Retrain grid (4.4.1 at grid scale)\n{}", t.render());
-        if let Some(s) = failure_summary(&self.failures) {
-            out.push_str(&format!("\nPartial grid: {s}\n"));
-        }
-        out
+    let mut out = format!("Retrain grid (4.4.1 at grid scale)\n{}", t.render());
+    if let Some(s) = failure_summary(&report.failures) {
+        out.push_str(&format!("\nPartial grid: {s}\n"));
     }
+    out
 }
 
 /// §4.4.1 decomposition analysis: RMSE between the trend (and remainder)
@@ -233,10 +200,10 @@ mod tests {
         let mut c = cfg();
         c.error_bounds = vec![0.1];
         c.models = vec![ModelKind::GBoost];
-        let grid = run_grid(&c);
-        assert!(grid.failures.is_empty());
-        assert_eq!(grid.records.len(), 4); // baseline + 3 methods x 1 eps
-        let s = grid.render();
+        let report = Engine::new(&GridContext::new(c)).retrain_report();
+        assert!(report.failures.is_empty(), "{:?}", report.failures);
+        assert_eq!(report.records.len(), 4); // baseline + 3 methods x 1 eps
+        let s = render_grid(&report);
         assert!(s.contains("Retrain grid"));
         assert!(s.contains("TFE"));
         assert!(!s.contains("Partial grid"));

@@ -6,7 +6,6 @@ use tsdata::datasets::{generate_univariate, DatasetKind, GenOptions, ALL_DATASET
 use tsdata::stats::{summarize, Summary};
 
 use super::fmt::{f, TextTable};
-use crate::grid::run_parallel;
 
 /// One Table-1 row: measured statistics of the generated dataset plus the
 /// paper's published values for comparison.
@@ -29,13 +28,13 @@ pub struct Table1 {
 /// paper's full lengths).
 pub fn run(len: Option<usize>, seed: u64) -> Table1 {
     let _span = telemetry::span("experiment.table1", &[]);
-    // One generation+summary task per dataset, scheduled on the worker
-    // pool (rows come back in dataset order regardless of threads).
-    let rows = run_parallel(ALL_DATASETS.len(), ALL_DATASETS.len(), |i| {
-        let dataset = ALL_DATASETS[i];
-        let series = generate_univariate(dataset, GenOptions { len, channels: None, seed });
-        Table1Row { dataset, measured: summarize(series.values()) }
-    });
+    let rows = ALL_DATASETS
+        .iter()
+        .map(|&dataset| {
+            let series = generate_univariate(dataset, GenOptions { len, channels: None, seed });
+            Table1Row { dataset, measured: summarize(series.values()) }
+        })
+        .collect();
     Table1 { rows }
 }
 

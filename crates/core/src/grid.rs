@@ -1,16 +1,14 @@
-//! The evaluation grid: compressor × error bound × dataset on the
-//! compression side, and model × seed × compressor × error bound × dataset
-//! on the forecasting side, scheduled through the task engine
-//! ([`crate::engine`]) with per-task fault isolation.
+//! The evaluation grid's configuration: compressor × error bound ×
+//! dataset on the compression side, and model × seed × compressor ×
+//! error bound × dataset on the forecasting side.
 //!
-//! Every runner has a `*_ctx` variant taking a [`GridContext`], whose
-//! caches share dataset generation and `(dataset, subset, method, ε)`
-//! transforms across tasks — and across grids, when several runners use
-//! the same context. The plain entry points build a fresh context. The
-//! `*_ctx` runners log failed tasks and return the surviving records;
-//! callers that need the structured failures use [`Engine`] directly.
-
-use std::panic::{catch_unwind, AssertUnwindSafe};
+//! A grid runs through one entry point per operation:
+//! `Engine::new(&GridContext::new(config)).{compression,gorilla,forecast,retrain}_report()`
+//! ([`crate::engine::Engine`]). The [`crate::cache::GridContext`] caches
+//! share dataset generation and `(dataset, subset, method, ε)` transforms
+//! across tasks — and across grids, when several reports run on the same
+//! context. Every report returns its records together with the
+//! structured per-task failures.
 
 use compression::{Method, ALL_METHODS, ERROR_BOUNDS};
 use forecast::model::{ModelKind, ALL_MODELS};
@@ -19,11 +17,7 @@ use tsdata::datasets::{DatasetKind, GenOptions, ALL_DATASETS};
 use tsdata::series::MultiSeries;
 use tsdata::split::{split, Split, SplitSpec};
 
-use crate::cache::GridContext;
-use crate::engine::Engine;
-use crate::results::{CompressionRecord, ForecastRecord};
 use crate::scenario::ScenarioError;
-use crate::sched::{self, Backpressure};
 
 /// Grid configuration. The defaults of [`GridConfig::default_repro`]
 /// complete on one laptop-class CPU; [`GridConfig::paper`] matches the
@@ -52,11 +46,11 @@ pub struct GridConfig {
     pub seeds_simple: usize,
     /// Stride between test evaluation windows (1 = every window).
     pub eval_stride: usize,
-    /// Inference batch size for evaluation scoring: windows are staged
-    /// into `[batch_size, input_len]` matrices and predicted through
-    /// [`forecast::model::Forecaster::predict_batch`]. `0` selects the
-    /// legacy per-window `predict` loop (the reference oracle); both paths
-    /// produce identical metrics and CSVs.
+    /// Inference batch size for evaluation scoring, in windows (≥ 1; `0`
+    /// behaves as 1): windows are staged into `[batch_size, input_len]`
+    /// matrices and predicted through
+    /// [`forecast::model::Forecaster::predict_batch`]. Metrics and CSVs
+    /// are identical for every value.
     pub batch_size: usize,
     /// Model size profile.
     pub profile: Profile,
@@ -242,147 +236,24 @@ fn num_threads() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).clamp(1, 16)
 }
 
-/// Runs `num_tasks` closures on the sharded work-stealing pool
-/// ([`crate::sched`]), collecting outputs in task order. Indices flow
-/// through bounded per-shard queues (round-robin by index), so
-/// submission is backpressured and peak queued work stays bounded.
-///
-/// This is the untyped helper for callers without [`crate::engine::GridTask`]
-/// descriptors (the figure/table sweeps); new grid code should go
-/// through [`Engine`], which reports structured per-task outcomes. Each
-/// closure runs under its own `catch_unwind`, so a panicking task no
-/// longer kills a worker: exactly the panicking indices are dropped
-/// (reported on stderr and in `run_parallel_lost_tasks_total`), every
-/// other result survives, and the returned vector stays in task order
-/// but may be shorter than `num_tasks`.
-pub fn run_parallel<T, F>(num_tasks: usize, threads: usize, task: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let (slots, _stats) = sched::run_sharded(
-        num_tasks,
-        threads,
-        threads, // one shard per worker
-        sched::DEFAULT_QUEUE_CAPACITY,
-        None,
-        Backpressure::Block,
-        |i| i as u64,
-        |i, _| catch_unwind(AssertUnwindSafe(|| task(i))).ok(),
-    )
-    .expect("blocking backpressure never rejects a task");
-    let lost: Vec<usize> =
-        slots.iter().enumerate().filter(|(_, s)| s.is_none()).map(|(i, _)| i).collect();
-    if !lost.is_empty() {
-        telemetry::counter_add("run_parallel_lost_tasks_total", &[], lost.len() as u64);
-        eprintln!(
-            "run_parallel: {} of {num_tasks} task(s) panicked; dropped indices {lost:?}",
-            lost.len()
-        );
-    }
-    slots.into_iter().flatten().collect()
-}
-
-/// Measures TE, CR and segment counts for every `(dataset, method, ε)`
-/// cell (Figure 2, Figure 3, Table 3 inputs). Operates on the target
-/// channel, as the paper's TE analysis does.
-pub fn run_compression_grid(config: &GridConfig) -> Vec<CompressionRecord> {
-    run_compression_grid_ctx(&GridContext::new(config.clone()))
-}
-
-/// [`run_compression_grid`] against a shared [`GridContext`]: datasets and
-/// full-series transforms are pulled from (and left in) the context's
-/// caches. Failed cells are logged and skipped.
-pub fn run_compression_grid_ctx(ctx: &GridContext) -> Vec<CompressionRecord> {
-    Engine::new(ctx).compression_report().into_records_logged("compression grid")
-}
-
-/// Gorilla's lossless CR per dataset (the Figure-2 baseline).
-///
-/// Gorilla is a storage *encoding* (the TSMS default, §3.3), so its ratio
-/// is measured against the raw binary representation — the convention of
-/// the Gorilla paper itself. The lossy methods' CRs (Eq. 3) remain
-/// gzip-relative; EXPERIMENTS.md discusses the one place the two
-/// conventions meet (the Figure-2 baseline line).
-pub fn gorilla_crs(config: &GridConfig) -> Vec<(DatasetKind, f64)> {
-    gorilla_crs_ctx(&GridContext::new(config.clone()))
-}
-
-/// [`gorilla_crs`] against a shared [`GridContext`] (reuses its cached
-/// datasets instead of regenerating them). Failed datasets are logged
-/// and skipped.
-pub fn gorilla_crs_ctx(ctx: &GridContext) -> Vec<(DatasetKind, f64)> {
-    Engine::new(ctx).gorilla_report().into_records_logged("gorilla baseline")
-}
-
-/// Runs Algorithm 1 for every `(dataset, model, seed)` and collects both
-/// baseline and transformed records.
-pub fn run_forecast_grid(config: &GridConfig) -> Vec<ForecastRecord> {
-    run_forecast_grid_ctx(&GridContext::new(config.clone()))
-}
-
-/// [`run_forecast_grid`] against a shared [`GridContext`]. Test-subset
-/// transforms are memoized in the context, so each `(dataset, method, ε)`
-/// cell is compressed and decompressed exactly once no matter how many
-/// `(model, seed)` tasks consume it. Failed or panicked tasks are logged
-/// and their coordinates skipped; all other records survive.
-pub fn run_forecast_grid_ctx(ctx: &GridContext) -> Vec<ForecastRecord> {
-    Engine::new(ctx).forecast_report().into_records_logged("forecast grid")
-}
-
-/// Runs the §4.4.1 retraining scenario for every `(dataset, model, seed)`:
-/// models are retrained on decompressed train/val data and scored on the
-/// decompressed test subset against raw targets. Records carry the same
-/// shape as [`run_forecast_grid`]'s (baseline has `method: None`).
-pub fn run_retrain_grid(config: &GridConfig) -> Vec<ForecastRecord> {
-    run_retrain_grid_ctx(&GridContext::new(config.clone()))
-}
-
-/// [`run_retrain_grid`] against a shared [`GridContext`]. Train, val, and
-/// test transforms are all memoized, shared with any other grid using the
-/// same context. Failed or panicked tasks are logged and skipped.
-pub fn run_retrain_grid_ctx(ctx: &GridContext) -> Vec<ForecastRecord> {
-    Engine::new(ctx).retrain_report().into_records_logged("retrain grid")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::GridContext;
+    use crate::engine::{Engine, GridReport};
 
-    #[test]
-    fn parallel_runner_preserves_order() {
-        let out = run_parallel(100, 8, |i| i * 2);
-        assert_eq!(out.len(), 100);
-        for (i, v) in out.iter().enumerate() {
-            assert_eq!(*v, i * 2);
-        }
-    }
-
-    #[test]
-    fn parallel_runner_survives_a_panicking_task() {
-        // The panic is trapped per task, so exactly the panicking index
-        // is dropped and both workers keep draining.
-        let out = run_parallel(20, 2, |i| {
-            if i == 0 {
-                panic!("injected worker panic");
-            }
-            i
-        });
-        assert_eq!(out, (1..20).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn parallel_runner_handles_more_threads_than_tasks() {
-        let out = run_parallel(3, 16, |i| i + 1);
-        assert_eq!(out, vec![1, 2, 3]);
-        assert!(run_parallel(0, 4, |i| i).is_empty());
+    /// The records of a report that lost no task.
+    fn complete<R>(report: GridReport<R>) -> Vec<R> {
+        assert!(report.failures.is_empty(), "failed tasks: {:?}", report.failures);
+        assert!(!report.records.is_empty(), "a grid without records");
+        report.records
     }
 
     #[test]
     fn compression_grid_covers_cells() {
         let mut cfg = GridConfig::smoke();
         cfg.len = Some(1200);
-        let recs = run_compression_grid(&cfg);
+        let recs = complete(Engine::new(&GridContext::new(cfg)).compression_report());
         assert_eq!(recs.len(), 3 * 3); // 3 methods x 3 eps
         for r in &recs {
             assert!(r.cr > 0.0 && r.cr.is_finite());
@@ -390,15 +261,14 @@ mod tests {
             assert!(r.segments > 0);
         }
         // Higher error bound -> CR does not decrease (PMC).
-        let pmc: Vec<&CompressionRecord> =
-            recs.iter().filter(|r| r.method == Method::Pmc).collect();
+        let pmc: Vec<_> = recs.iter().filter(|r| r.method == Method::Pmc).collect();
         assert!(pmc[2].cr >= pmc[0].cr, "{} vs {}", pmc[2].cr, pmc[0].cr);
     }
 
     #[test]
     fn gorilla_baseline_present() {
-        let cfg = GridConfig::smoke();
-        let crs = gorilla_crs(&cfg);
+        let ctx = GridContext::new(GridConfig::smoke());
+        let crs = complete(Engine::new(&ctx).gorilla_report());
         assert_eq!(crs.len(), 1);
         assert!(crs[0].1 > 0.2, "gorilla CR {}", crs[0].1);
     }
@@ -408,7 +278,7 @@ mod tests {
         let mut cfg = GridConfig::smoke();
         cfg.error_bounds = vec![0.05];
         cfg.models = vec![ModelKind::GBoost];
-        let recs = run_forecast_grid(&cfg);
+        let recs = complete(Engine::new(&GridContext::new(cfg)).forecast_report());
         // 1 baseline + 3 methods x 1 eps = 4 records
         assert_eq!(recs.len(), 4);
         assert!(recs.iter().any(|r| r.method.is_none()));
@@ -427,7 +297,7 @@ mod tests {
         cfg.error_bounds = vec![0.05, 0.2];
         cfg.models = vec![ModelKind::GBoost, ModelKind::DLinear];
         let ctx = GridContext::new(cfg);
-        let recs = run_forecast_grid_ctx(&ctx);
+        let recs = complete(Engine::new(&ctx).forecast_report());
         let cells = 3 * 2; // methods x eps
         let tasks = 2; // 2 models x 1 seed
         assert_eq!(recs.len(), tasks * (1 + cells));
@@ -444,7 +314,7 @@ mod tests {
         cfg.error_bounds = vec![0.1];
         cfg.models = vec![ModelKind::GBoost];
         let ctx = GridContext::new(cfg);
-        let recs = run_retrain_grid_ctx(&ctx);
+        let recs = complete(Engine::new(&ctx).retrain_report());
         // 1 baseline + 3 methods x 1 eps
         assert_eq!(recs.len(), 4);
         assert!(recs.iter().any(|r| r.method.is_none()));
@@ -461,11 +331,12 @@ mod tests {
         cfg.len = Some(1200);
         cfg.error_bounds = vec![0.1];
         let ctx = GridContext::new(cfg);
-        let comp = run_compression_grid_ctx(&ctx);
-        let gorilla = gorilla_crs_ctx(&ctx);
+        let engine = Engine::new(&ctx);
+        let comp = complete(engine.compression_report());
+        let gorilla = complete(engine.gorilla_report());
         assert_eq!(comp.len(), 3);
         assert_eq!(gorilla.len(), 1);
-        // One generation serves both runners.
+        // One generation serves both grids.
         assert_eq!(ctx.datasets.misses(), 1);
         assert!(ctx.datasets.hits() >= 3);
     }

@@ -2,13 +2,13 @@
 //!
 //! Implements the paper's Algorithm 1 ([`scenario`]), the task engine
 //! that schedules the evaluation cross-product with per-task fault
-//! isolation ([`engine`]), the grid entry points over compressors ×
-//! error bounds × models × datasets ([`grid`]), the shared
-//! transform/dataset caches behind them ([`cache`]), the versioned
-//! model-artifact format and checkpoint store behind `--resume`
-//! ([`artifact`]), result bookkeeping including partial-failure
-//! summaries ([`results`]) and the per-table/figure experiment
-//! reproductions ([`experiments`]). Store-backed runs route every
+//! isolation and is the one entry point per grid operation ([`engine`]),
+//! the grid configuration over compressors × error bounds × models ×
+//! datasets ([`grid`]), the shared transform/dataset caches behind it
+//! ([`cache`]), the versioned model-artifact format and checkpoint store
+//! behind `--resume` ([`artifact`]), result bookkeeping including
+//! partial-failure summaries ([`results`]) and the per-table/figure
+//! experiment reproductions ([`experiments`]). Store-backed runs route every
 //! transform through the chunked store ([`storeback`], DESIGN.md §12).
 //! The engine schedules onto a sharded work-stealing pool with bounded
 //! queues and deterministic chaos injection ([`sched`], DESIGN.md §15).
@@ -31,8 +31,8 @@ pub use engine::{
     CancelFlag, CompressionTask, Engine, ForecastTask, GorillaTask, GridReport, GridTask,
     RetrainTask, TaskCoord, TaskEvent, TaskOutcome, TaskStatus,
 };
-pub use grid::{run_compression_grid, run_forecast_grid, run_retrain_grid, GridConfig};
+pub use grid::GridConfig;
 pub use results::{failure_summary, CompressionRecord, ForecastRecord, TaskFailure};
-pub use scenario::{evaluate_scenario, retrain_scenario, transform_series, ScenarioOutcome};
-pub use sched::{Backpressure, ChaosEvent, ChaosSchedule, QueueFull, RunStats};
+pub use scenario::{transform_series, ScenarioOutcome};
+pub use sched::{ChaosEvent, ChaosSchedule, RunStats};
 pub use storeback::StoreBackend;

@@ -6,8 +6,13 @@
 //! against the raw targets. The transformation forecasting error (TFE)
 //! compares those scores to the raw-input baseline.
 //!
-//! The alternative scenario of §4.4.1 — retraining on decompressed data —
-//! is implemented by [`retrain_scenario`].
+//! [`score_scenario_with`] is the one Algorithm-1 scorer: callers fit the
+//! model, then score it through a [`TransformProvider`]. The grid's
+//! [`ForecastTask`](crate::engine::ForecastTask) passes a provider backed
+//! by the shared transform cache; a stand-alone caller passes a direct
+//! [`transform_series`] call. The §4.4.1 scenario — retraining on
+//! decompressed data — is [`RetrainTask`](crate::engine::RetrainTask),
+//! which scores each retrained model through [`score_transformed`].
 
 use std::sync::Arc;
 
@@ -21,9 +26,10 @@ use tsdata::split::{make_eval_windows, make_windows, Window};
 use crate::cache::Subset;
 
 /// Supplies the transformed version of one subset for a `(method, ε)`
-/// pair. The grid runners back this with the shared
-/// [`TransformCache`](crate::cache::TransformCache); the plain scenario
-/// entry points back it with a direct [`transform_series`] call.
+/// pair. The grid backs this with the shared
+/// [`TransformCache`](crate::cache::TransformCache); a stand-alone caller
+/// backs it with a direct [`transform_series`] call:
+/// `|_, c, eps| transform_series(&test, c, eps).map(Arc::new)`.
 pub type TransformProvider<'a> =
     dyn FnMut(Subset, &dyn PeblcCompressor, f64) -> Result<Arc<MultiSeries>, ScenarioError> + 'a;
 
@@ -106,13 +112,12 @@ pub fn transform_series(
 /// predictions and raw targets), matching the magnitudes of the paper's
 /// Table 2.
 ///
-/// `batch_size` controls inference staging: `0` keeps the legacy
-/// per-window [`Forecaster::predict`] loop (the reference oracle); `>= 1`
-/// stages target-channel windows into `[batch, input_len]` matrices and
-/// calls [`Forecaster::predict_batch`] per chunk. Every in-tree model's
-/// batched rows are bitwise equal to its per-window predictions, and the
-/// metric accumulation visits windows in the same order on both paths, so
-/// the resulting metrics (and any CSV derived from them) are identical.
+/// Windows are staged into `[batch_size, input_len]` matrices (`0`
+/// behaves as 1) and predicted through [`Forecaster::predict_batch`] per
+/// chunk. Every in-tree model's batched rows are bitwise equal to its
+/// per-window [`Forecaster::predict`], and metrics accumulate in window
+/// order, so the metrics (and any CSV derived from them) are identical
+/// for every batch size and equal to a per-window loop's.
 pub fn score_windows(
     model: &dyn Forecaster,
     windows: &[Window],
@@ -126,24 +131,14 @@ pub fn score_windows(
     let h = model.horizon();
     let mut all_pred = Vec::with_capacity(windows.len() * h);
     let mut all_truth = Vec::with_capacity(windows.len() * h);
-    if batch_size == 0 {
+    for chunk in windows.chunks(batch_size.max(1)) {
+        let staged = forecast::batch::stage_windows(chunk, model.input_len());
         let start = std::time::Instant::now();
-        for w in windows {
-            let pred = model.predict(&w.inputs)?;
-            all_pred.extend(scaler.transform(0, &pred));
-            all_truth.extend(scaler.transform(0, &w.target));
-        }
+        let preds = model.predict_batch(&staged)?;
         telemetry::observe("predict_batch_seconds", &label, telemetry::secs(start.elapsed()));
-    } else {
-        for chunk in windows.chunks(batch_size) {
-            let staged = forecast::batch::stage_windows(chunk, model.input_len());
-            let start = std::time::Instant::now();
-            let preds = model.predict_batch(&staged)?;
-            telemetry::observe("predict_batch_seconds", &label, telemetry::secs(start.elapsed()));
-            for (r, w) in chunk.iter().enumerate() {
-                all_pred.extend(scaler.transform(0, &preds.data()[r * h..(r + 1) * h]));
-                all_truth.extend(scaler.transform(0, &w.target));
-            }
+        for (r, w) in chunk.iter().enumerate() {
+            all_pred.extend(scaler.transform(0, &preds.data()[r * h..(r + 1) * h]));
+            all_truth.extend(scaler.transform(0, &w.target));
         }
     }
     telemetry::counter_add("predict_windows_total", &label, windows.len() as u64);
@@ -160,71 +155,11 @@ pub struct ScenarioOutcome {
     pub transformed: Vec<(&'static str, f64, MetricSet)>,
 }
 
-/// Runs Algorithm 1 for one fitted model: evaluates the raw baseline and
-/// every `(compressor, ε)` combination on the test subset.
-///
-/// `eval_stride` subsamples test windows (1 = every window, as in the
-/// paper; larger = faster). `batch_size` stages inference as in
-/// [`score_windows`].
-#[allow(clippy::too_many_arguments)]
-pub fn evaluate_scenario(
-    model: &mut dyn Forecaster,
-    train: &MultiSeries,
-    val: &MultiSeries,
-    test: &MultiSeries,
-    compressors: &[Box<dyn PeblcCompressor>],
-    error_bounds: &[f64],
-    eval_stride: usize,
-    batch_size: usize,
-) -> Result<ScenarioOutcome, ScenarioError> {
-    let mut direct =
-        |_: Subset, c: &dyn PeblcCompressor, eps: f64| transform_series(test, c, eps).map(Arc::new);
-    evaluate_scenario_with(
-        model,
-        train,
-        val,
-        test,
-        compressors,
-        error_bounds,
-        eval_stride,
-        batch_size,
-        &mut direct,
-    )
-}
-
-/// [`evaluate_scenario`] with the transform step delegated to `transform`
-/// (only [`Subset::Test`] is requested). Grid runners pass a provider
-/// backed by the shared cache so that each `(dataset, method, ε)`
-/// transform runs once across all `(model, seed)` tasks.
-#[allow(clippy::too_many_arguments)]
-pub fn evaluate_scenario_with(
-    model: &mut dyn Forecaster,
-    train: &MultiSeries,
-    val: &MultiSeries,
-    test: &MultiSeries,
-    compressors: &[Box<dyn PeblcCompressor>],
-    error_bounds: &[f64],
-    eval_stride: usize,
-    batch_size: usize,
-    transform: &mut TransformProvider<'_>,
-) -> Result<ScenarioOutcome, ScenarioError> {
-    model.fit(train, val)?;
-    score_scenario_with(
-        &*model,
-        train,
-        test,
-        compressors,
-        error_bounds,
-        eval_stride,
-        batch_size,
-        transform,
-    )
-}
-
-/// The scoring half of Algorithm 1: evaluates an **already fitted** model
-/// on the raw baseline and every `(compressor, ε)` combination. The
-/// engine's load-or-fit path calls this directly after restoring a model
-/// from the artifact store, skipping the fit entirely.
+/// Algorithm 1 for an **already fitted** model: scores the raw baseline
+/// and every `(compressor, ε)` combination, requesting each transformed
+/// test subset ([`Subset::Test`]) from `transform`. `eval_stride`
+/// subsamples test windows (1 = every window, as in the paper; larger =
+/// faster); `batch_size` stages inference as in [`score_windows`].
 #[allow(clippy::too_many_arguments)]
 pub fn score_scenario_with(
     model: &dyn Forecaster,
@@ -269,83 +204,6 @@ pub fn score_transformed(
     score_windows(model, &windows, scaler, batch_size)
 }
 
-/// The §4.4.1 variant: train *and* infer on decompressed data, scoring
-/// against the raw targets. Returns `(method, ε, metrics)` per
-/// combination, plus the raw-trained baseline for TFE computation.
-#[allow(clippy::too_many_arguments)]
-pub fn retrain_scenario(
-    make_model: &mut dyn FnMut() -> Box<dyn Forecaster>,
-    train: &MultiSeries,
-    val: &MultiSeries,
-    test: &MultiSeries,
-    compressors: &[Box<dyn PeblcCompressor>],
-    error_bounds: &[f64],
-    eval_stride: usize,
-    batch_size: usize,
-) -> Result<ScenarioOutcome, ScenarioError> {
-    let mut direct = |subset: Subset, c: &dyn PeblcCompressor, eps: f64| {
-        let data = match subset {
-            Subset::Train => train,
-            Subset::Val => val,
-            _ => test,
-        };
-        transform_series(data, c, eps).map(Arc::new)
-    };
-    retrain_scenario_with(
-        make_model,
-        train,
-        val,
-        test,
-        compressors,
-        error_bounds,
-        eval_stride,
-        batch_size,
-        &mut direct,
-    )
-}
-
-/// [`retrain_scenario`] with the transform step delegated to `transform`
-/// (requested for [`Subset::Train`], [`Subset::Val`], and
-/// [`Subset::Test`]).
-#[allow(clippy::too_many_arguments)]
-pub fn retrain_scenario_with(
-    make_model: &mut dyn FnMut() -> Box<dyn Forecaster>,
-    train: &MultiSeries,
-    val: &MultiSeries,
-    test: &MultiSeries,
-    compressors: &[Box<dyn PeblcCompressor>],
-    error_bounds: &[f64],
-    eval_stride: usize,
-    batch_size: usize,
-    transform: &mut TransformProvider<'_>,
-) -> Result<ScenarioOutcome, ScenarioError> {
-    // Baseline: raw-trained model on raw test data.
-    let mut base_model = make_model();
-    base_model.fit(train, val)?;
-    let scaler = StandardScaler::fit_single(train.target().values());
-    let raw_windows = make_windows(test, base_model.input_len(), base_model.horizon(), eval_stride);
-    if raw_windows.is_empty() {
-        return Err(ScenarioError::NoWindows);
-    }
-    let baseline = score_windows(base_model.as_ref(), &raw_windows, &scaler, batch_size)?;
-
-    let mut transformed = Vec::new();
-    for compressor in compressors {
-        for &eps in error_bounds {
-            let t_train = transform(Subset::Train, compressor.as_ref(), eps)?;
-            let t_val = transform(Subset::Val, compressor.as_ref(), eps)?;
-            let t_test = transform(Subset::Test, compressor.as_ref(), eps)?;
-            let mut model = make_model();
-            model.fit(&t_train, &t_val)?;
-            let windows =
-                make_eval_windows(test, &t_test, model.input_len(), model.horizon(), eval_stride)?;
-            let metrics = score_windows(model.as_ref(), &windows, &scaler, batch_size)?;
-            transformed.push((compressor.name(), eps, metrics));
-        }
-    }
-    Ok(ScenarioOutcome { baseline, transformed })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -364,6 +222,21 @@ mod tests {
         MultiSeries::univariate("y", RegularTimeSeries::new(0, 3600, vals).unwrap())
     }
 
+    /// The per-window reference: one `predict` call per window, metrics
+    /// accumulated in window order.
+    fn per_window(
+        model: &dyn Forecaster,
+        windows: &[Window],
+        scaler: &StandardScaler,
+    ) -> MetricSet {
+        let (mut truth, mut pred) = (Vec::new(), Vec::new());
+        for w in windows {
+            pred.extend(scaler.transform(0, &model.predict(&w.inputs).unwrap()));
+            truth.extend(scaler.transform(0, &w.target));
+        }
+        metric_set(&truth, &pred)
+    }
+
     #[test]
     fn transform_series_respects_bound() {
         let data = dataset(500);
@@ -379,23 +252,27 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_scenario_end_to_end() {
+    fn score_scenario_end_to_end() {
         let data = dataset(1500);
         let s = split(&data, SplitSpec::default()).unwrap();
         let mut model = build_model(
             ModelKind::GBoost,
             BuildOptions { input_len: 48, horizon: 12, ..Default::default() },
         );
+        model.fit(&s.train, &s.val).unwrap();
         let compressors: Vec<Box<dyn PeblcCompressor>> = vec![Box::new(Pmc), Box::new(Sz)];
-        let outcome = evaluate_scenario(
-            model.as_mut(),
+        let mut direct = |_: Subset, c: &dyn PeblcCompressor, eps: f64| {
+            transform_series(&s.test, c, eps).map(Arc::new)
+        };
+        let outcome = score_scenario_with(
+            model.as_ref(),
             &s.train,
-            &s.val,
             &s.test,
             &compressors,
             &[0.01, 0.3],
             4,
             64,
+            &mut direct,
         )
         .unwrap();
         assert_eq!(outcome.transformed.len(), 4);
@@ -411,38 +288,25 @@ mod tests {
     }
 
     #[test]
-    fn retrain_scenario_runs() {
-        let data = dataset(1200);
-        let s = split(&data, SplitSpec::default()).unwrap();
-        let compressors: Vec<Box<dyn PeblcCompressor>> = vec![Box::new(Pmc)];
-        let mut make = || {
-            build_model(
-                ModelKind::DLinear,
-                BuildOptions { input_len: 48, horizon: 12, ..Default::default() },
-            )
-        };
-        let outcome =
-            retrain_scenario(&mut make, &s.train, &s.val, &s.test, &compressors, &[0.1], 6, 32)
-                .unwrap();
-        assert_eq!(outcome.transformed.len(), 1);
-        assert!(outcome.transformed[0].2.rmse.is_finite());
-    }
-
-    #[test]
     fn no_windows_error() {
         let data = dataset(300);
         let s = split(&data, SplitSpec::default()).unwrap();
-        let mut model = build_model(
+        let model = build_model(
             ModelKind::GBoost,
             BuildOptions { input_len: 96, horizon: 24, ..Default::default() },
         );
-        // test subset has 60 points < 96 + 24 -> no windows
-        let res = evaluate_scenario(model.as_mut(), &s.train, &s.val, &s.test, &[], &[], 1, 64);
-        assert!(matches!(res, Err(ScenarioError::NoWindows) | Err(ScenarioError::Forecast(_))));
+        // test subset has 60 points < 96 + 24 -> no windows, reported
+        // before the (unfitted) model is ever asked to predict.
+        let mut direct = |_: Subset, c: &dyn PeblcCompressor, eps: f64| {
+            transform_series(&s.test, c, eps).map(Arc::new)
+        };
+        let res =
+            score_scenario_with(model.as_ref(), &s.train, &s.test, &[], &[], 1, 64, &mut direct);
+        assert!(matches!(res, Err(ScenarioError::NoWindows)));
     }
 
     #[test]
-    fn score_windows_empty_is_no_windows_on_both_paths() {
+    fn score_windows_empty_is_no_windows() {
         let data = dataset(1200);
         let s = split(&data, SplitSpec::default()).unwrap();
         let mut model = build_model(
@@ -458,7 +322,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_scoring_matches_legacy_exactly() {
+    fn batched_scoring_matches_per_window_oracle() {
         let data = dataset(1500);
         let s = split(&data, SplitSpec::default()).unwrap();
         let mut model = build_model(
@@ -468,21 +332,22 @@ mod tests {
         model.fit(&s.train, &s.val).unwrap();
         let scaler = StandardScaler::fit_single(s.train.target().values());
         // Strides > 1 and strides that leave ragged final chunks both have
-        // to reproduce the per-window metrics bit for bit.
+        // to reproduce the per-window metrics bit for bit; batch size 0
+        // stages one window per call.
         for eval_stride in [1, 5] {
             let windows = make_windows(&s.test, 48, 12, eval_stride);
             assert!(!windows.is_empty());
-            let legacy = score_windows(model.as_ref(), &windows, &scaler, 0).unwrap();
-            for batch_size in [1, 7, 64, windows.len() + 10] {
+            let oracle = per_window(model.as_ref(), &windows, &scaler);
+            for batch_size in [0, 1, 7, 64, windows.len() + 10] {
                 let batched = score_windows(model.as_ref(), &windows, &scaler, batch_size).unwrap();
                 assert_eq!(
-                    legacy.rmse.to_bits(),
+                    oracle.rmse.to_bits(),
                     batched.rmse.to_bits(),
                     "rmse diverged at stride {eval_stride} batch {batch_size}"
                 );
-                assert_eq!(legacy.r.to_bits(), batched.r.to_bits());
-                assert_eq!(legacy.rse.to_bits(), batched.rse.to_bits());
-                assert_eq!(legacy.nrmse.to_bits(), batched.nrmse.to_bits());
+                assert_eq!(oracle.r.to_bits(), batched.r.to_bits());
+                assert_eq!(oracle.rse.to_bits(), batched.rse.to_bits());
+                assert_eq!(oracle.nrmse.to_bits(), batched.nrmse.to_bits());
             }
         }
     }
@@ -501,8 +366,8 @@ mod tests {
         // Pick a batch size that guarantees a ragged final chunk.
         let batch_size = windows.len() / 2 + 1;
         assert!(!windows.len().is_multiple_of(batch_size));
-        let legacy = score_windows(model.as_ref(), &windows, &scaler, 0).unwrap();
+        let oracle = per_window(model.as_ref(), &windows, &scaler);
         let batched = score_windows(model.as_ref(), &windows, &scaler, batch_size).unwrap();
-        assert_eq!(legacy.rmse.to_bits(), batched.rmse.to_bits());
+        assert_eq!(oracle.rmse.to_bits(), batched.rmse.to_bits());
     }
 }

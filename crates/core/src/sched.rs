@@ -2,17 +2,15 @@
 //! harness.
 //!
 //! `run_sharded` (crate-internal) is the execution substrate underneath
-//! [`crate::engine::Engine`] and [`crate::grid::run_parallel`]: task
-//! indices are partitioned into **shards** (keyed by the caller — the
-//! engine shards by [`crate::engine::TaskCoord`], so all tasks of one
-//! dataset/series land on the same shard and stay cache-warm), each
-//! shard owns a **bounded** queue built on the vendored crossbeam MPMC
-//! channel, and workers drain their home shard first, then **steal**
-//! from sibling shards when idle. Submission applies **backpressure**:
-//! a full shard either blocks the submitter ([`Backpressure::Block`],
-//! the grid default) or reports a typed [`QueueFull`]
-//! ([`Backpressure::Fail`], for latency-sensitive callers) — the
-//! scheduler never materialises an unbounded internal task vector.
+//! [`crate::engine::Engine`], the one pool API: task indices are
+//! partitioned into **shards** (keyed by the caller — the engine shards
+//! by [`crate::engine::TaskCoord`], so all tasks of one dataset/series
+//! land on the same shard and stay cache-warm), each shard owns a
+//! **bounded** queue built on the vendored crossbeam MPMC channel, and
+//! workers drain their home shard first, then **steal** from sibling
+//! shards when idle. Submission applies **backpressure**: a full shard
+//! blocks the submitter until a worker drains it, so the scheduler never
+//! materialises an unbounded internal task vector.
 //!
 //! Three hard invariants, all exercised by the chaos suite
 //! (`crates/core/tests/engine_chaos.rs`):
@@ -50,42 +48,6 @@ use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendErr
 /// holds its task list in the caller's slice, so queued indices only
 /// need to cover scheduling slack, not the whole grid.
 pub const DEFAULT_QUEUE_CAPACITY: usize = 32;
-
-/// How submission reacts to a full shard queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Backpressure {
-    /// Block the submitter until the shard drains (the grid default:
-    /// the whole task list always runs, memory stays bounded).
-    #[default]
-    Block,
-    /// Fail fast with a typed [`QueueFull`] — for callers that would
-    /// rather shed work than wait (serving-style admission control).
-    Fail,
-}
-
-/// Typed backpressure rejection: the target shard's bounded queue was
-/// full at submission time under [`Backpressure::Fail`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QueueFull {
-    /// Index of the task that was rejected (it never ran).
-    pub index: usize,
-    /// Shard whose queue was full.
-    pub shard: usize,
-    /// The shard's configured capacity.
-    pub capacity: usize,
-}
-
-impl std::fmt::Display for QueueFull {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "task {} rejected: shard {} queue full (capacity {})",
-            self.index, self.shard, self.capacity
-        )
-    }
-}
-
-impl std::error::Error for QueueFull {}
 
 /// One scripted fault. Events are injected at the moment a worker
 /// dequeues the matching task index.
@@ -268,28 +230,25 @@ impl<R> PoolShared<'_, R> {
 /// * `exec(i, inject_callback_panic)` must be **total** (trap its own
 ///   panics); the bool forwards a [`ChaosEvent::CallbackPanic`] for the
 ///   engine's callback trap to exercise.
-/// * Under [`Backpressure::Fail`], the first full queue aborts
-///   submission with [`QueueFull`]; already-queued tasks still run and
-///   every worker is joined, but results are discarded. Under
-///   [`Backpressure::Block`] (the default) the call never fails.
-#[allow(clippy::too_many_arguments)] // crate-internal; Engine is the ergonomic front
+/// * A full queue blocks submission until a worker drains it; when every
+///   worker is dead the submitter runs the task inline. The call never
+///   fails and never drops a task.
 pub(crate) fn run_sharded<R, K, E>(
     n: usize,
     workers: usize,
     shards: usize,
     capacity: usize,
     chaos: Option<&ChaosSchedule>,
-    backpressure: Backpressure,
     shard_of: K,
     exec: E,
-) -> Result<(Vec<R>, RunStats), QueueFull>
+) -> (Vec<R>, RunStats)
 where
     R: Send,
     K: Fn(usize) -> u64 + Sync,
     E: Fn(usize, bool) -> R + Sync,
 {
     if n == 0 {
-        return Ok((Vec::new(), RunStats::default()));
+        return (Vec::new(), RunStats::default());
     }
     let workers = workers.max(1).min(n);
     let shards = shards.max(1).min(n);
@@ -345,7 +304,7 @@ where
         true
     };
 
-    let submitted = crossbeam::scope(|scope| {
+    crossbeam::scope(|scope| {
         for w in 0..workers {
             let shared = &shared;
             let run_task = &run_task;
@@ -407,17 +366,6 @@ where
                         unreachable!("receivers live until the scope joins")
                     }
                     Err(TrySendError::Full(_)) => {
-                        if backpressure == Backpressure::Fail {
-                            // Typed rejection: release the workers (they
-                            // drain what is queued and exit) and report
-                            // which task hit the wall.
-                            shared.done.store(true, Ordering::Release);
-                            return Err(QueueFull {
-                                index: i,
-                                shard,
-                                capacity: senders[shard].capacity(),
-                            });
-                        }
                         if shared.alive.load(Ordering::Relaxed) == 0 {
                             // Every worker is dead; the submitter is the
                             // only thread left. Run inline rather than
@@ -426,34 +374,30 @@ where
                             inline_runs.fetch_add(1, Ordering::Relaxed);
                             break;
                         }
-                        // Backpressure: wait for a worker to drain the
-                        // shard, then retry. Occupancy stays bounded.
+                        // Block: wait for a worker to drain the shard,
+                        // then retry. Occupancy stays bounded.
                         std::thread::sleep(Duration::from_micros(50));
                     }
                 }
             }
         }
         shared.done.store(true, Ordering::Release);
-        Ok(())
     })
     .expect("scheduler workers never panic (tasks are trapped)");
 
     // Recovery pass: any index that never executed (a kill orphaned it
     // with no surviving worker to rescue it) runs here, inline, so the
     // zero-lost-task guarantee is unconditional.
-    let mut rescued = 0u64;
-    if submitted.is_ok() {
-        let missing: Vec<usize> = {
-            let slots = shared.results.lock().expect("results lock never poisoned");
-            (0..n).filter(|&i| slots[i].is_none()).collect()
-        };
-        for i in missing {
-            run_inline(i);
-            rescued += 1;
-        }
-        if rescued > 0 {
-            telemetry::counter_add("engine_tasks_rescued_total", &[], rescued);
-        }
+    let missing: Vec<usize> = {
+        let slots = shared.results.lock().expect("results lock never poisoned");
+        (0..n).filter(|&i| slots[i].is_none()).collect()
+    };
+    let rescued = missing.len() as u64;
+    for i in missing {
+        run_inline(i);
+    }
+    if rescued > 0 {
+        telemetry::counter_add("engine_tasks_rescued_total", &[], rescued);
     }
     telemetry::gauge_set("engine_queue_depth", &[], 0.0);
 
@@ -466,7 +410,6 @@ where
         inline_runs: inline_runs.load(Ordering::Relaxed),
         callback_panics: 0,
     };
-    submitted?;
     let results = shared
         .results
         .into_inner()
@@ -474,7 +417,7 @@ where
         .into_iter()
         .map(|slot| slot.expect("every task index executed exactly once"))
         .collect();
-    Ok((results, stats))
+    (results, stats)
 }
 
 #[cfg(test)]
@@ -483,8 +426,7 @@ mod tests {
     use std::sync::atomic::AtomicU64;
 
     fn double(n: usize, workers: usize, shards: usize, cap: usize) -> (Vec<usize>, RunStats) {
-        run_sharded(n, workers, shards, cap, None, Backpressure::Block, |i| i as u64, |i, _| i * 2)
-            .expect("blocking submission never fails")
+        run_sharded(n, workers, shards, cap, None, |i| i as u64, |i, _| i * 2)
     }
 
     #[test]
@@ -512,11 +454,9 @@ mod tests {
             4,
             4,
             None,
-            Backpressure::Block,
             |i| (i / 10) as u64,
             |i, _| counts[i].fetch_add(1, Ordering::Relaxed),
-        )
-        .expect("blocking submission never fails");
+        );
         assert_eq!(out.len(), 200);
         for (i, c) in counts.iter().enumerate() {
             assert_eq!(c.load(Ordering::Relaxed), 1, "task {i} must run exactly once");
@@ -524,27 +464,11 @@ mod tests {
     }
 
     #[test]
-    fn queue_full_is_typed_under_fail_backpressure() {
-        // One shard of capacity 1, and a worker stalled by chaos on the
-        // first task: the submitter fills the queue and must get the
-        // typed rejection instead of blocking.
-        let chaos = ChaosSchedule::scripted([(0, ChaosEvent::StallMs(50))]);
-        let err = run_sharded(16, 1, 1, 1, Some(&chaos), Backpressure::Fail, |_| 0, |i, _| i)
-            .expect_err("the queue must fill while the worker stalls");
-        assert_eq!(err.shard, 0);
-        assert_eq!(err.capacity, 1);
-        assert!(err.index >= 1, "task 0 was dequeued before the stall: {err:?}");
-        assert!(err.to_string().contains("queue full"));
-    }
-
-    #[test]
     fn kill_schedule_loses_no_tasks() {
         // Schedule more kills than workers: the survivors plus the
         // inline submitter plus the recovery pass still run everything.
         let chaos = ChaosSchedule::scripted((0..6).map(|k| (k * 7, ChaosEvent::Kill)));
-        let (out, stats) =
-            run_sharded(50, 2, 2, 2, Some(&chaos), Backpressure::Block, |i| i as u64, |i, _| i + 1)
-                .expect("blocking submission never fails");
+        let (out, stats) = run_sharded(50, 2, 2, 2, Some(&chaos), |i| i as u64, |i, _| i + 1);
         assert_eq!(out, (1..=50).collect::<Vec<_>>());
         assert!(stats.worker_deaths <= 2, "only 2 workers existed to kill");
         assert!(stats.worker_deaths >= 1, "the first kill event always fires");

@@ -5,7 +5,8 @@
 //! `cmp`s full repro CSV outputs across the two modes.
 
 use evalcore::cache::{GridContext, Subset};
-use evalcore::grid::{run_compression_grid_ctx, run_forecast_grid_ctx, GridConfig};
+use evalcore::engine::{Engine, GridReport};
+use evalcore::grid::GridConfig;
 use evalcore::results::{compression_csv, forecast_csv};
 use forecast::model::ModelKind;
 
@@ -16,10 +17,18 @@ fn config(store_backed: bool) -> GridConfig {
     cfg
 }
 
+/// The records of a report that lost no task: a cell failing on both
+/// paths must not read as "identical".
+fn complete<R>(report: GridReport<R>) -> Vec<R> {
+    assert!(report.failures.is_empty(), "failed tasks: {:?}", report.failures);
+    assert!(!report.records.is_empty(), "a grid without records");
+    report.records
+}
+
 #[test]
 fn store_backed_compression_grid_is_byte_identical() {
-    let legacy = run_compression_grid_ctx(&GridContext::new(config(false)));
-    let stored = run_compression_grid_ctx(&GridContext::new(config(true)));
+    let legacy = complete(Engine::new(&GridContext::new(config(false))).compression_report());
+    let stored = complete(Engine::new(&GridContext::new(config(true))).compression_report());
     assert_eq!(compression_csv(&legacy), compression_csv(&stored));
 }
 
@@ -29,8 +38,8 @@ fn store_backed_forecast_grid_is_byte_identical() {
     let stored_ctx = GridContext::new(config(true));
     assert!(legacy_ctx.store_backend().is_none());
 
-    let legacy = run_forecast_grid_ctx(&legacy_ctx);
-    let stored = run_forecast_grid_ctx(&stored_ctx);
+    let legacy = complete(Engine::new(&legacy_ctx).forecast_report());
+    let stored = complete(Engine::new(&stored_ctx).forecast_report());
     assert_eq!(forecast_csv(&legacy), forecast_csv(&stored));
 
     // The grid transformed (methods × bounds) combinations of the test

@@ -5,7 +5,7 @@
 //! that leave ragged chunks at any staging granularity.
 //!
 //! This is the contract `evalcore::scenario::score_windows` relies on to
-//! keep batched grid CSVs byte-identical to the legacy per-window path.
+//! keep batched grid metrics bitwise equal to a per-window `predict` loop.
 
 use forecast::ensemble::{Combine, Ensemble};
 use forecast::model::{ForecastError, Forecaster, ModelKind};

@@ -12,9 +12,12 @@
 //! cargo run --release --example model_resilience
 //! ```
 
+use std::sync::Arc;
+
 use evalimplsts::analysis::features::{extract, FeatureOptions};
-use evalimplsts::compression::{all_lossy, Method};
-use evalimplsts::evalcore::scenario::evaluate_scenario;
+use evalimplsts::compression::{all_lossy, Method, PeblcCompressor};
+use evalimplsts::evalcore::scenario::{score_scenario_with, transform_series};
+use evalimplsts::evalcore::Subset;
 use evalimplsts::forecast::{build_model, BuildOptions, ModelKind};
 use evalimplsts::tsdata::datasets::{generate, DatasetKind, GenOptions};
 use evalimplsts::tsdata::metrics::tfe;
@@ -37,19 +40,23 @@ fn main() {
         "model", "eps", "TFE(Arima)", "TFE(NBeats)", "d(max_kl_shift)"
     );
 
+    let mut direct = |_: Subset, c: &dyn PeblcCompressor, eps: f64| {
+        transform_series(&s.test, c, eps).map(Arc::new)
+    };
     let mut results: Vec<(ModelKind, Vec<f64>)> = Vec::new();
     for kind in [ModelKind::Arima, ModelKind::NBeats] {
         let mut model =
             build_model(kind, BuildOptions { season: Some(season), ..Default::default() });
-        let outcome = evaluate_scenario(
-            model.as_mut(),
+        model.fit(&s.train, &s.val).expect("model fits");
+        let outcome = score_scenario_with(
+            model.as_ref(),
             &s.train,
-            &s.val,
             &s.test,
             &all_lossy(),
             &error_bounds,
             16,
             64,
+            &mut direct,
         )
         .expect("scenario runs");
         // Mean TFE across the three methods per error bound.

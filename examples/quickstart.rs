@@ -6,9 +6,13 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use evalimplsts::compression::{all_lossy, find_bound_violation, raw_compressed_size};
-use evalimplsts::evalcore::scenario::{evaluate_scenario, transform_series};
-use evalimplsts::evalcore::{decode_state, encode_state};
+use std::sync::Arc;
+
+use evalimplsts::compression::{
+    all_lossy, find_bound_violation, raw_compressed_size, PeblcCompressor,
+};
+use evalimplsts::evalcore::scenario::{score_scenario_with, transform_series};
+use evalimplsts::evalcore::{decode_state, encode_state, Subset};
 use evalimplsts::forecast::{build_model, BuildOptions, ModelKind};
 use evalimplsts::tsdata::datasets::{generate, DatasetKind, GenOptions};
 use evalimplsts::tsdata::metrics::{compression_ratio, nrmse, tfe};
@@ -45,15 +49,19 @@ fn main() {
     let s = split(&data, SplitSpec::default()).expect("dataset splits 70/10/20");
     let mut model = build_model(ModelKind::GBoost, BuildOptions::default());
     println!("\ntraining {} (input 96 -> horizon 24)...", model.name());
-    let outcome = evaluate_scenario(
-        model.as_mut(),
+    model.fit(&s.train, &s.val).expect("model fits");
+    let mut direct = |_: Subset, c: &dyn PeblcCompressor, eps: f64| {
+        transform_series(&s.test, c, eps).map(Arc::new)
+    };
+    let outcome = score_scenario_with(
+        model.as_ref(),
         &s.train,
-        &s.val,
         &s.test,
         &all_lossy(),
         &[0.05, 0.2],
         8,
         64,
+        &mut direct,
     )
     .expect("scenario runs");
     println!("baseline RMSE (scaled): {:.4}", outcome.baseline.rmse);

@@ -11,9 +11,12 @@
 //! cargo run --release --example wind_turbine
 //! ```
 
+use std::sync::Arc;
+
 use evalimplsts::analysis::kneedle::{kneedle, Shape};
-use evalimplsts::compression::{all_lossy, raw_compressed_size};
-use evalimplsts::evalcore::scenario::evaluate_scenario;
+use evalimplsts::compression::{all_lossy, raw_compressed_size, PeblcCompressor};
+use evalimplsts::evalcore::scenario::{score_scenario_with, transform_series};
+use evalimplsts::evalcore::Subset;
 use evalimplsts::forecast::{build_model, BuildOptions, ModelKind};
 use evalimplsts::tsdata::datasets::{generate, DatasetKind, GenOptions};
 use evalimplsts::tsdata::metrics::{compression_ratio, nrmse, tfe};
@@ -41,15 +44,19 @@ fn main() {
         BuildOptions { input_len: 96, horizon: 24, ..Default::default() },
     );
     let error_bounds = [0.01, 0.05, 0.1, 0.2, 0.4];
-    let outcome = evaluate_scenario(
-        model.as_mut(),
+    model.fit(&s.train, &s.val).expect("model fits");
+    let mut direct = |_: Subset, c: &dyn PeblcCompressor, eps: f64| {
+        transform_series(&s.test, c, eps).map(Arc::new)
+    };
+    let outcome = score_scenario_with(
+        model.as_ref(),
         &s.train,
-        &s.val,
         &s.test,
         &all_lossy(),
         &error_bounds,
         16,
         64,
+        &mut direct,
     )
     .expect("scenario runs");
     println!("forecaster: {} | baseline RMSE {:.4}\n", model.name(), outcome.baseline.rmse);
