@@ -12,13 +12,13 @@
 //! A `calibration/memcpy` row pins the host's raw copy bandwidth so the CI
 //! regression check can normalise codec numbers across machines.
 
+use common::{bench_calibration, smoke};
 use compression::bitstream::{BitReader, BitWriter};
 use compression::block::{self, Kernel};
 use compression::codec::{raw_bytes, PeblcCompressor};
 use compression::gorilla::Gorilla;
 use compression::huffman::CanonicalCode;
 use compression::pmc::Pmc;
-use compression::ppa::Ppa;
 use compression::reader::ByteReader;
 use compression::swing::Swing;
 use compression::sz::Sz;
@@ -26,13 +26,10 @@ use compression::{deflate, timestamps};
 use criterion::{black_box, Criterion, Throughput};
 use tsdata::series::RegularTimeSeries;
 
-/// CI short mode: fewer samples, smaller inputs, same row set.
-fn smoke() -> bool {
-    std::env::var("BENCH_SMOKE").is_ok_and(|v| v != "0" && !v.is_empty())
-}
+mod common;
 
 fn codecs() -> Vec<Box<dyn PeblcCompressor>> {
-    vec![Box::new(Pmc), Box::new(Swing), Box::new(Sz), Box::new(Gorilla), Box::new(Ppa::default())]
+    vec![Box::new(Pmc), Box::new(Swing), Box::new(Sz), Box::new(Gorilla)]
 }
 
 /// The series every per-codec row compresses: the ETTm1 recreation the
@@ -197,16 +194,6 @@ fn bench_sz_symbols(c: &mut Criterion, n: usize) {
     group.finish();
 }
 
-/// Raw copy bandwidth of this host: the unit CI normalises against so a
-/// slower runner does not read as a codec regression.
-fn bench_calibration(c: &mut Criterion, len: usize) {
-    let src = vec![0xA5u8; len];
-    let mut group = c.benchmark_group("calibration");
-    group.throughput(Throughput::Bytes(len as u64));
-    group.bench_function("memcpy", |b| b.iter(|| black_box(&src).to_vec()));
-    group.finish();
-}
-
 fn main() {
     // Smoke mode keeps the full-mode workloads (so CI throughputs compare
     // against the committed full-mode baseline) and only trims samples.
@@ -215,7 +202,7 @@ fn main() {
     bench_codecs(&mut criterion, len);
     bench_timestamp_stream(&mut criterion, len);
     bench_sz_symbols(&mut criterion, 4 * len);
-    bench_calibration(&mut criterion, 1 << 20);
+    bench_calibration(&mut criterion);
 
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_codecs.json");
     criterion.save_json(path).expect("write BENCH_codecs.json");

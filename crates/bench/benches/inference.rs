@@ -21,6 +21,7 @@
 //! A `calibration/memcpy` row pins the host's raw copy bandwidth so the
 //! CI regression check can normalise inference numbers across machines.
 
+use common::{bench_calibration, smoke};
 use criterion::{black_box, Criterion, Throughput};
 use forecast::model::{Forecaster, ALL_MODELS};
 use forecast::{build_model, BuildOptions};
@@ -32,10 +33,7 @@ const INPUT_LEN: usize = 48;
 const HORIZON: usize = 12;
 const BATCH: usize = 64;
 
-/// CI short mode: fewer samples, same models and workload.
-fn smoke() -> bool {
-    std::env::var("BENCH_SMOKE").is_ok_and(|v| v != "0" && !v.is_empty())
-}
+mod common;
 
 /// Fit all seven models once on the ETTm1 recreation the evaluation grid
 /// itself runs on, then carve a 64-window eval batch from the test split.
@@ -113,16 +111,6 @@ fn bench_inference(c: &mut Criterion, models: &[Box<dyn Forecaster>], windows: &
     group.finish();
 }
 
-/// Raw copy bandwidth of this host: the unit CI normalises against so a
-/// slower runner does not read as an inference regression.
-fn bench_calibration(c: &mut Criterion, len: usize) {
-    let src = vec![0xA5u8; len];
-    let mut group = c.benchmark_group("calibration");
-    group.throughput(Throughput::Bytes(len as u64));
-    group.bench_function("memcpy", |b| b.iter(|| black_box(&src).to_vec()));
-    group.finish();
-}
-
 fn main() {
     // Smoke mode keeps the full-mode workload (same models, same 64-window
     // batch, so CI throughputs compare against the committed full-mode
@@ -132,7 +120,7 @@ fn main() {
 
     let (models, windows) = fit_models();
     bench_inference(&mut criterion, &models, &windows);
-    bench_calibration(&mut criterion, 1 << 20);
+    bench_calibration(&mut criterion);
 
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_inference.json");
     criterion.save_json(path).expect("write BENCH_inference.json");

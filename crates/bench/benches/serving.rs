@@ -22,6 +22,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
+use common::smoke;
 use evalcore::artifact::{ArtifactKey, ArtifactStore};
 use forecast::{build_model, BuildOptions, ModelKind, Profile};
 use serve::registry::{ModelSpec, RegistryConfig};
@@ -35,9 +36,7 @@ const SEED: u64 = 40;
 const DATA_SEED: u64 = 7;
 const SERIES: u64 = 1;
 
-fn smoke() -> bool {
-    std::env::var("BENCH_SMOKE").is_ok_and(|v| v != "0" && !v.is_empty())
-}
+mod common;
 
 fn temp_dir() -> PathBuf {
     static N: AtomicUsize = AtomicUsize::new(0);

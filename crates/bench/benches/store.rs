@@ -8,16 +8,13 @@
 //! <=2 bytes/point on the Gorilla sealed path for integer-grade sensor
 //! data.
 
+use common::smoke;
 use compression::Method;
 use criterion::{black_box, Criterion, Throughput};
 use store::{ChunkCodec, SeriesId, StoreConfig, TsStore};
 use tsdata::series::SeriesSource;
 
-/// CI short mode: fewer samples, same workloads (so CI throughputs
-/// compare against the committed full-mode baseline).
-fn smoke() -> bool {
-    std::env::var("BENCH_SMOKE").is_ok_and(|v| v != "0" && !v.is_empty())
-}
+mod common;
 
 /// Integer-grade sensor workload: a slow diurnal wave rounded to whole
 /// units, like a temperature or demand gauge. Repeated values and small

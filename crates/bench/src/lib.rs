@@ -2,8 +2,7 @@
 //!
 //! The `repro` binary regenerates every table and figure from the paper
 //! (see DESIGN.md §3 for the index); the Criterion benches under
-//! `benches/` measure compressor/model/feature throughput and run the
-//! ablations DESIGN.md §5 calls out.
+//! `benches/` measure compressor/model/feature throughput.
 //!
 //! This library holds the argument parsing and experiment-selection logic
 //! so it can be unit-tested.

@@ -6,8 +6,8 @@
 //! meaningful bits. Unlike the original two-hour blocks, the paper
 //! compresses "the whole time series as a single segment" because some
 //! datasets would have only 8 points per block — this implementation does
-//! the same (see the `benches/ablate_gorilla` ablation for the block
-//! variant).
+//! the same. EXPERIMENTS.md records the size 8-point blocks would have on
+//! ETTm1.
 
 use tsdata::series::RegularTimeSeries;
 

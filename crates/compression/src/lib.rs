@@ -2,10 +2,8 @@
 //!
 //! Implements the three pointwise error-bounded lossy compressors (PEBLC)
 //! the paper evaluates — [`pmc::Pmc`], [`swing::Swing`] and [`sz::Sz`] —
-//! plus the lossless [`gorilla::Gorilla`] baseline and the related-work
-//! [`ppa::Ppa`] (quadratic piecewise approximation, used as an ablation of
-//! the paper's low-degree-models argument), on top of from-scratch
-//! substrates:
+//! plus the lossless [`gorilla::Gorilla`] baseline, on top of
+//! from-scratch substrates:
 //!
 //! * [`bitstream`] — MSB-first bit I/O with word-level multi-bit fast
 //!   paths.
@@ -56,7 +54,6 @@ pub mod gorilla;
 pub mod huffman;
 pub mod mutate;
 pub mod pmc;
-pub mod ppa;
 pub mod reader;
 pub mod streaming;
 pub mod swing;
@@ -70,7 +67,6 @@ pub use codec::{
 pub use crc::crc32;
 pub use gorilla::Gorilla;
 pub use pmc::{Pmc, StreamingPmc};
-pub use ppa::Ppa;
 pub use reader::{ByteReader, ReadError};
 pub use streaming::compress_source;
 pub use swing::{StreamingSwing, Swing};

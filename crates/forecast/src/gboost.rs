@@ -4,7 +4,8 @@
 //!
 //! Two layers: [`GbmRegressor`] is a generic `X → y` booster (reused by
 //! `analysis::shap`); [`GBoost`] wraps it as a [`Forecaster`] using lag
-//! features and recursive multi-step prediction.
+//! features and direct multi-step prediction (one booster per horizon
+//! step).
 
 use rand::rngs::StdRng;
 use rand::{seq::SliceRandom, SeedableRng};
@@ -141,16 +142,6 @@ impl GbmRegressor {
     }
 }
 
-/// Multi-step strategy for [`GBoost`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MultiStep {
-    /// One booster per horizon step (no error feedback; the default).
-    Direct,
-    /// A single one-step booster applied recursively — cheaper to fit but
-    /// drifts over long horizons (kept for the ablation bench).
-    Recursive,
-}
-
 /// Forecasting configuration for [`GBoost`].
 #[derive(Debug, Clone)]
 pub struct GBoostConfig {
@@ -164,8 +155,6 @@ pub struct GBoostConfig {
     pub stride: usize,
     /// Cap on training windows (most recent kept).
     pub max_windows: usize,
-    /// Multi-step strategy.
-    pub strategy: MultiStep,
 }
 
 impl Default for GBoostConfig {
@@ -176,17 +165,16 @@ impl Default for GBoostConfig {
             gbm: GbmConfig { n_estimators: 80, subsample: 0.8, ..Default::default() },
             stride: 2,
             max_windows: 4000,
-            strategy: MultiStep::Direct,
         }
     }
 }
 
-/// The GBoost forecaster: boosters on lag features, multi-step via the
-/// configured [`MultiStep`] strategy.
+/// The GBoost forecaster: one booster per horizon step on lag features,
+/// so predictions never feed back into the window.
 #[derive(Debug, Clone)]
 pub struct GBoost {
     config: GBoostConfig,
-    /// One booster per horizon step (Direct) or a single one (Recursive).
+    /// One booster per horizon step.
     models: Vec<GbmRegressor>,
     scaler: Option<StandardScaler>,
 }
@@ -220,8 +208,8 @@ impl Forecaster for GBoost {
         }
         let scaler = StandardScaler::fit_single(raw);
         let y = scaler.transform(0, raw);
-        // Lag-feature windows, sliding with stride; the targets cover the
-        // full horizon so both strategies share the feature matrix.
+        // Lag-feature windows, sliding with stride; every step's booster
+        // shares the feature matrix.
         let mut starts: Vec<usize> =
             (0..y.len() - k - (h - 1)).step_by(self.config.stride).collect();
         if starts.len() > self.config.max_windows {
@@ -231,22 +219,16 @@ impl Forecaster for GBoost {
         for &s in &starts {
             features.extend_from_slice(&y[s..s + k]);
         }
-        self.models = match self.config.strategy {
-            MultiStep::Recursive => {
-                let targets: Vec<f64> = starts.iter().map(|&s| y[s + k]).collect();
-                vec![GbmRegressor::fit(&features, &targets, k, self.config.gbm)]
-            }
-            MultiStep::Direct => (0..h)
-                .map(|step| {
-                    let targets: Vec<f64> = starts.iter().map(|&s| y[s + k + step]).collect();
-                    let cfg = GbmConfig {
-                        seed: self.config.gbm.seed.wrapping_add(step as u64),
-                        ..self.config.gbm
-                    };
-                    GbmRegressor::fit(&features, &targets, k, cfg)
-                })
-                .collect(),
-        };
+        self.models = (0..h)
+            .map(|step| {
+                let targets: Vec<f64> = starts.iter().map(|&s| y[s + k + step]).collect();
+                let cfg = GbmConfig {
+                    seed: self.config.gbm.seed.wrapping_add(step as u64),
+                    ..self.config.gbm
+                };
+                GbmRegressor::fit(&features, &targets, k, cfg)
+            })
+            .collect();
         self.scaler = Some(scaler);
         Ok(())
     }
@@ -258,24 +240,7 @@ impl Forecaster for GBoost {
         let scaler = self.scaler.as_ref().ok_or(ForecastError::NotFitted)?;
         validate_window(inputs, self.config.input_len)?;
         let window = scaler.transform(0, &inputs[0]);
-        let out = match self.config.strategy {
-            MultiStep::Direct => {
-                self.models.iter().map(|m| m.predict(&window)).collect::<Vec<f64>>()
-            }
-            MultiStep::Recursive => {
-                let model = &self.models[0];
-                let mut window = window;
-                let mut out = Vec::with_capacity(self.config.horizon);
-                for _ in 0..self.config.horizon {
-                    let next = model.predict(&window);
-                    out.push(next);
-                    window.rotate_left(1);
-                    let last = window.len() - 1;
-                    window[last] = next;
-                }
-                out
-            }
-        };
+        let out: Vec<f64> = self.models.iter().map(|m| m.predict(&window)).collect();
         Ok(scaler.inverse(0, &out))
     }
 
@@ -292,41 +257,19 @@ impl Forecaster for GBoost {
         let h = self.config.horizon;
         let n = windows.rows();
         let mut out = neural::tensor::Tensor::zeros(n, h);
-        match self.config.strategy {
-            MultiStep::Direct => {
-                let scaled: Vec<Vec<f64>> = (0..n)
-                    .map(|r| scaler.transform(0, &windows.data()[r * k..(r + 1) * k]))
-                    .collect();
-                // Boosters outer, windows inner: each booster's tree nodes
-                // stay hot in cache across the whole batch. Values match the
-                // per-window loop because each (booster, window) prediction
-                // is independent.
-                for (step, m) in self.models.iter().enumerate() {
-                    for (r, w) in scaled.iter().enumerate() {
-                        out.data_mut()[r * h + step] = m.predict(w);
-                    }
-                }
-                for r in 0..n {
-                    let inv = scaler.inverse(0, &out.data()[r * h..(r + 1) * h]);
-                    out.data_mut()[r * h..(r + 1) * h].copy_from_slice(&inv);
-                }
+        let scaled: Vec<Vec<f64>> =
+            (0..n).map(|r| scaler.transform(0, &windows.data()[r * k..(r + 1) * k])).collect();
+        // Boosters outer, windows inner: each booster's tree nodes stay hot
+        // in cache across the whole batch. Values match the per-window loop
+        // because each (booster, window) prediction is independent.
+        for (step, m) in self.models.iter().enumerate() {
+            for (r, w) in scaled.iter().enumerate() {
+                out.data_mut()[r * h + step] = m.predict(w);
             }
-            MultiStep::Recursive => {
-                // The feedback loop is inherently sequential per window.
-                let model = &self.models[0];
-                for r in 0..n {
-                    let mut window = scaler.transform(0, &windows.data()[r * k..(r + 1) * k]);
-                    let mut row = Vec::with_capacity(h);
-                    for _ in 0..h {
-                        let next = model.predict(&window);
-                        row.push(next);
-                        window.rotate_left(1);
-                        let last = window.len() - 1;
-                        window[last] = next;
-                    }
-                    out.data_mut()[r * h..(r + 1) * h].copy_from_slice(&scaler.inverse(0, &row));
-                }
-            }
+        }
+        for r in 0..n {
+            let inv = scaler.inverse(0, &out.data()[r * h..(r + 1) * h]);
+            out.data_mut()[r * h..(r + 1) * h].copy_from_slice(&inv);
         }
         Ok(out)
     }
@@ -379,13 +322,10 @@ impl Forecaster for GBoost {
         stateio::check_tag(state, self.name())?;
         let num_models =
             stateio::index(stateio::scalar(state, "gboost.num_models")?, "gboost model count")?;
-        let expected = match self.config.strategy {
-            MultiStep::Direct => self.config.horizon,
-            MultiStep::Recursive => 1,
-        };
-        if num_models != expected {
+        let horizon = self.config.horizon;
+        if num_models != horizon {
             return Err(stateio::invalid(format!(
-                "snapshot has {num_models} boosters, configuration needs {expected}"
+                "snapshot has {num_models} boosters, configuration needs {horizon}"
             )));
         }
         let mut models = Vec::with_capacity(num_models);

@@ -114,7 +114,6 @@ pub fn build_model(kind: ModelKind, opts: BuildOptions) -> Box<dyn Forecaster> {
             },
             stride: if paper { 1 } else { 3 },
             max_windows: if paper { 20_000 } else { 3_000 },
-            strategy: gboost::MultiStep::Direct,
         })),
         ModelKind::DLinear => Box::new(DLinear::new(DLinearConfig {
             input_len: opts.input_len,
