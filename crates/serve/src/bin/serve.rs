@@ -3,8 +3,8 @@
 //!
 //! ```text
 //! serve --artifacts runs/artifacts [--addr 127.0.0.1:7878] [--budget-mb 256]
-//!       [--queue-depth 256] [--max-batch 64] [--batch-wait-us 200]
-//!       [--workers 2] [--warm 16] [--metrics FILE]
+//!       [--queue-depth 256] [--max-batch 64] [--workers 2] [--warm 16]
+//!       [--metrics FILE]
 //! ```
 //!
 //! Prints `serve: listening on ADDR` once the socket is bound (the smoke
@@ -14,7 +14,6 @@
 
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Duration;
 
 use serve::registry::RegistryConfig;
 use serve::{ModelRegistry, SchedulerConfig, ServeConfig, Server};
@@ -25,7 +24,6 @@ struct Args {
     budget_mb: usize,
     queue_depth: usize,
     max_batch: usize,
-    batch_wait_us: u64,
     workers: usize,
     warm: usize,
     metrics: Option<String>,
@@ -34,8 +32,8 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: serve --artifacts DIR [--addr HOST:PORT] [--budget-mb N] \
-         [--queue-depth N] [--max-batch N] [--batch-wait-us N] [--workers N] \
-         [--warm N] [--metrics FILE]"
+         [--queue-depth N] [--max-batch N] [--workers N] [--warm N] \
+         [--metrics FILE]"
     );
     std::process::exit(2);
 }
@@ -47,7 +45,6 @@ fn parse_args() -> Args {
         budget_mb: 256,
         queue_depth: 256,
         max_batch: 64,
-        batch_wait_us: 200,
         workers: 2,
         warm: 0,
         metrics: None,
@@ -61,7 +58,6 @@ fn parse_args() -> Args {
             "--budget-mb" => args.budget_mb = parse_num(&value("--budget-mb")),
             "--queue-depth" => args.queue_depth = parse_num(&value("--queue-depth")),
             "--max-batch" => args.max_batch = parse_num(&value("--max-batch")),
-            "--batch-wait-us" => args.batch_wait_us = parse_num(&value("--batch-wait-us")) as u64,
             "--workers" => args.workers = parse_num(&value("--workers")),
             "--warm" => args.warm = parse_num(&value("--warm")),
             "--metrics" => args.metrics = Some(value("--metrics")),
@@ -75,6 +71,16 @@ fn parse_args() -> Args {
     if args.artifacts.is_empty() {
         eprintln!("serve: --artifacts is required");
         usage();
+    }
+    for (flag, n) in [
+        ("--queue-depth", args.queue_depth),
+        ("--max-batch", args.max_batch),
+        ("--workers", args.workers),
+    ] {
+        if n == 0 {
+            eprintln!("serve: {flag} must be at least 1");
+            usage();
+        }
     }
     args
 }
@@ -125,7 +131,6 @@ fn main() -> ExitCode {
         scheduler: SchedulerConfig {
             queue_depth: args.queue_depth,
             max_batch: args.max_batch,
-            batch_wait: Duration::from_micros(args.batch_wait_us),
             workers: args.workers,
         },
         store: Default::default(),

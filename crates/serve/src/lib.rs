@@ -12,12 +12,13 @@
 //!   `(dataset, model, method, eps)`. Cold keys fault in lazily from the
 //!   manifest ([`ArtifactStore::list_keys`]) and the registry evicts
 //!   least-recently-used models when its byte budget fills.
-//! * [`scheduler::Scheduler`] — the batching heart: concurrent forecast
-//!   requests for the same model are coalesced into single
-//!   [`forecast::model::Forecaster::predict_batch`] calls (bounded wait,
-//!   bounded batch), behind bounded queues with admission control — a
-//!   full queue rejects with a typed `Overloaded` response instead of
-//!   growing memory.
+//! * [`scheduler::Scheduler`] — the batching heart: an idle worker takes
+//!   the oldest queued forecast request at once, together with every
+//!   queued request for the same model, into one
+//!   [`forecast::model::Forecaster::predict_batch`] call (bounded batch,
+//!   no wait). Admission control bounds the jobs in flight — a full
+//!   queue rejects with a typed `Overloaded` response instead of growing
+//!   memory.
 //! * [`server::Server`] — the TCP front end routing requests: `ingest`
 //!   appends points into a [`store::TsStore`], `forecast` windows the
 //!   last `input_len` points straight off store chunks via

@@ -99,7 +99,7 @@ pub struct ModelEntry {
     pub horizon: usize,
     /// Estimated resident bytes (state-dict scalars + overhead).
     pub bytes: usize,
-    /// Registry-unique id; the scheduler coalesces batches by this.
+    /// Registry-unique id; the scheduler batches jobs by this.
     pub id: u64,
 }
 

@@ -1,16 +1,16 @@
-//! The batching scheduler: request coalescing + admission control.
+//! The batching scheduler: work-conserving batching + admission control.
 //!
-//! Forecast jobs enter through a bounded submit queue guarded by an
-//! inflight counter — when [`SchedulerConfig::queue_depth`] jobs are in
-//! flight the next submit is rejected *before queueing* with
+//! Forecast jobs enter one FIFO queue guarded by an inflight counter —
+//! when [`SchedulerConfig::queue_depth`] jobs are queued or executing,
+//! the next submit is rejected *before queueing* with
 //! [`ServeError::Overloaded`], so memory stays bounded under any load.
 //!
-//! A dedicated coalescing thread drains the submit queue: on the first
-//! job it opens a batching window of [`SchedulerConfig::batch_wait`],
-//! groups arrivals by registry entry id, flushes any group that reaches
-//! [`SchedulerConfig::max_batch`] immediately, and flushes everything
-//! when the window closes. Flushed batches go to a worker pool that
-//! stacks the windows into one `[n, input_len]` tensor and makes a
+//! Batching is work-conserving: an idle worker takes the oldest queued
+//! job at once, together with every queued job for the same registry
+//! entry, up to [`SchedulerConfig::max_batch`]. Jobs pile up only while
+//! every worker is busy, so the arrivals during an in-flight batch form
+//! the next batch and no request waits for companions. The worker stacks
+//! the batch's windows into one `[n, input_len]` tensor and makes a
 //! single [`Forecaster::predict_batch`] call — `n` requests pay one
 //! dispatch. Rows come back to each requester bit-identical to a
 //! per-window [`Forecaster::predict`] (the batch-identity contract
@@ -19,45 +19,37 @@
 //! [`Forecaster::predict`]: forecast::Forecaster::predict
 //! [`Forecaster::predict_batch`]: forecast::Forecaster::predict_batch
 
-use std::collections::HashMap;
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::Instant;
 
-use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender, TrySendError};
+use crossbeam::channel::{self, Sender};
 use neural::tensor::Tensor;
 use telemetry::{counter_add, observe, secs};
 
 use crate::registry::ModelEntry;
 use crate::ServeError;
 
-/// Occupancy histogram buckets (jobs per coalesced batch).
+/// Occupancy histogram buckets (jobs per batch).
 const OCCUPANCY_BOUNDS: [f64; 7] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0];
 
 /// Scheduler knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct SchedulerConfig {
     /// Admission bound: maximum forecast jobs in flight (queued or
-    /// executing). The submit queue is sized to this too.
+    /// executing).
     pub queue_depth: usize,
-    /// Maximum jobs coalesced into one `predict_batch` call.
+    /// Maximum jobs one worker takes into one `predict_batch` call.
     pub max_batch: usize,
-    /// How long the coalescing window stays open after the first job
-    /// arrives, waiting for same-model companions.
-    pub batch_wait: Duration,
-    /// Worker threads executing flushed batches.
+    /// Worker threads executing batches.
     pub workers: usize,
 }
 
 impl Default for SchedulerConfig {
     fn default() -> Self {
-        SchedulerConfig {
-            queue_depth: 256,
-            max_batch: 64,
-            batch_wait: Duration::from_micros(200),
-            workers: 2,
-        }
+        SchedulerConfig { queue_depth: 256, max_batch: 64, workers: 2 }
     }
 }
 
@@ -65,11 +57,6 @@ struct Job {
     entry: Arc<ModelEntry>,
     window: Vec<f64>,
     reply: Sender<Result<Vec<f64>, String>>,
-}
-
-struct Batch {
-    entry: Arc<ModelEntry>,
-    jobs: Vec<Job>,
 }
 
 /// Cumulative scheduler counters (kept independently of the telemetry
@@ -84,55 +71,93 @@ pub struct SchedulerStats {
     pub rejected: AtomicU64,
 }
 
-/// The batching scheduler. Dropping it disconnects the submit queue;
-/// the coalescing thread flushes what it holds and the pool drains.
+/// The job queue; `closed` tells idle workers to exit.
+struct Queue {
+    jobs: VecDeque<Job>,
+    closed: bool,
+}
+
+/// What the submitters and the workers share.
+struct Shared {
+    queue: Mutex<Queue>,
+    /// Signalled on every enqueue and on close.
+    ready: Condvar,
+    stats: SchedulerStats,
+}
+
+const QUEUE_NEVER_POISONED: &str = "no thread panics while holding the scheduler queue";
+
+impl Shared {
+    fn lock(&self) -> MutexGuard<'_, Queue> {
+        self.queue.lock().expect(QUEUE_NEVER_POISONED)
+    }
+
+    /// Blocks until a job is queued and takes its batch; `None` once the
+    /// queue is closed and empty.
+    fn next_batch(&self, max_batch: usize) -> Option<Vec<Job>> {
+        let mut queue = self.lock();
+        loop {
+            if let Some(jobs) = take_batch(&mut queue.jobs, max_batch) {
+                return Some(jobs);
+            }
+            if queue.closed {
+                return None;
+            }
+            queue = self.ready.wait(queue).expect(QUEUE_NEVER_POISONED);
+        }
+    }
+}
+
+/// Removes the oldest job and every later job for the same registry
+/// entry, up to `max_batch`; the other jobs keep their order.
+fn take_batch(queue: &mut VecDeque<Job>, max_batch: usize) -> Option<Vec<Job>> {
+    let first = queue.pop_front()?;
+    let id = first.entry.id;
+    let mut jobs = vec![first];
+    let mut i = 0;
+    while jobs.len() < max_batch && i < queue.len() {
+        if queue[i].entry.id == id {
+            jobs.push(queue.remove(i).expect("i is in bounds"));
+        } else {
+            i += 1;
+        }
+    }
+    Some(jobs)
+}
+
+/// The batching scheduler. Dropping it closes the queue and joins the
+/// workers.
 pub struct Scheduler {
-    submit: Sender<Job>,
-    inflight: Arc<AtomicUsize>,
-    stats: Arc<SchedulerStats>,
+    shared: Arc<Shared>,
+    inflight: AtomicUsize,
     config: SchedulerConfig,
-    threads: Vec<std::thread::JoinHandle<()>>,
+    workers: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl Scheduler {
-    /// Starts the coalescing thread and the worker pool.
+    /// Starts the worker pool.
     pub fn start(config: SchedulerConfig) -> Scheduler {
         assert!(config.queue_depth >= 1 && config.max_batch >= 1 && config.workers >= 1);
-        let (submit_tx, submit_rx) = channel::bounded::<Job>(config.queue_depth);
-        let (batch_tx, batch_rx) = channel::bounded::<Batch>(config.queue_depth);
-        let stats = Arc::new(SchedulerStats::default());
-        let mut threads = Vec::new();
-
-        let coalescer_stats = Arc::clone(&stats);
-        let coalescer_cfg = config;
-        threads.push(
-            std::thread::Builder::new()
-                .name("serve-coalesce".into())
-                .spawn(move || coalesce_loop(submit_rx, batch_tx, coalescer_cfg, coalescer_stats))
-                .expect("spawn coalescer"),
-        );
-        for i in 0..config.workers {
-            let rx = batch_rx.clone();
-            threads.push(
+        let shared = Arc::new(Shared {
+            queue: Mutex::new(Queue { jobs: VecDeque::new(), closed: false }),
+            ready: Condvar::new(),
+            stats: SchedulerStats::default(),
+        });
+        let workers = (0..config.workers)
+            .map(|i| {
+                let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("serve-worker-{i}"))
-                    .spawn(move || worker_loop(rx))
-                    .expect("spawn worker"),
-            );
-        }
-        drop(batch_rx);
-        Scheduler {
-            submit: submit_tx,
-            inflight: Arc::new(AtomicUsize::new(0)),
-            stats,
-            config,
-            threads,
-        }
+                    .spawn(move || worker_loop(&shared, config.max_batch))
+                    .expect("spawn worker")
+            })
+            .collect();
+        Scheduler { shared, inflight: AtomicUsize::new(0), config, workers }
     }
 
     /// Cumulative counters.
     pub fn stats(&self) -> &SchedulerStats {
-        &self.stats
+        &self.shared.stats
     }
 
     /// Submits one forecast job and blocks for its result. A `window`
@@ -155,35 +180,19 @@ impl Scheduler {
             )));
         }
         let depth = self.config.queue_depth;
-        let _slot = match AdmissionGuard::try_acquire(&self.inflight, depth) {
-            Some(guard) => guard,
-            None => {
-                self.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                counter_add("serve_rejected_total", &[], 1);
-                return Err(ServeError::Overloaded { depth });
-            }
+        let (reply, reply_rx) = channel::bounded(1);
+        // Admission and enqueue share one critical section, so every job
+        // counted in flight is already queued or executing.
+        let mut queue = self.shared.lock();
+        let Some(_slot) = AdmissionGuard::try_acquire(&self.inflight, depth) else {
+            drop(queue);
+            self.shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
+            counter_add("serve_rejected_total", &[], 1);
+            return Err(ServeError::Overloaded { depth });
         };
-        self.forecast_admitted(entry, window)
-    }
-
-    fn forecast_admitted(
-        &self,
-        entry: Arc<ModelEntry>,
-        window: Vec<f64>,
-    ) -> Result<Vec<f64>, ServeError> {
-        let (reply_tx, reply_rx) = channel::bounded(1);
-        let job = Job { entry, window, reply: reply_tx };
-        match self.submit.try_send(job) {
-            Ok(()) => {}
-            Err(TrySendError::Full(_)) => {
-                // The queue bound equals the admission bound, so this is
-                // only reachable in a teardown race; report it as overload.
-                self.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                counter_add("serve_rejected_total", &[], 1);
-                return Err(ServeError::Overloaded { depth: self.config.queue_depth });
-            }
-            Err(TrySendError::Disconnected(_)) => return Err(ServeError::ShuttingDown),
-        }
+        queue.jobs.push_back(Job { entry, window, reply });
+        drop(queue);
+        self.shared.ready.notify_one();
         match reply_rx.recv() {
             Ok(Ok(values)) => Ok(values),
             Ok(Err(msg)) => Err(ServeError::Model(msg)),
@@ -219,97 +228,40 @@ impl Drop for AdmissionGuard<'_> {
 
 impl Drop for Scheduler {
     fn drop(&mut self) {
-        // Replace the live sender with a dead one so the coalescer sees
-        // disconnect, then join the pipeline.
-        let (dead_tx, _) = channel::bounded(1);
-        self.submit = dead_tx;
-        for t in self.threads.drain(..) {
-            let _ = t.join();
+        // `forecast` borrows the scheduler until its reply arrives, so no
+        // job is queued here; closing the queue lets the idle workers exit.
+        self.shared.queue.lock().unwrap_or_else(PoisonError::into_inner).closed = true;
+        self.shared.ready.notify_all();
+        for worker in self.workers.drain(..) {
+            let _ = worker.join();
         }
     }
 }
 
-fn coalesce_loop(
-    submit: Receiver<Job>,
-    batches: Sender<Batch>,
-    config: SchedulerConfig,
-    stats: Arc<SchedulerStats>,
-) {
-    let flush = |pending: &mut HashMap<u64, Batch>| {
-        for (_, batch) in pending.drain() {
-            let n = batch.jobs.len();
-            stats.batches.fetch_add(1, Ordering::Relaxed);
-            stats.batched_jobs.fetch_add(n as u64, Ordering::Relaxed);
-            counter_add("serve_batches_total", &[], 1);
-            counter_add("serve_batch_jobs_total", &[], n as u64);
-            telemetry::global().metrics().observe_with(
-                "serve_batch_occupancy",
-                &[],
-                &OCCUPANCY_BOUNDS,
-                n as f64,
-            );
-            if batches.send(batch).is_err() {
-                return; // workers gone; replies drop and callers see ShuttingDown
-            }
-        }
-    };
-    loop {
-        // Idle: block for the first job of the next batching window.
-        let first = match submit.recv() {
-            Ok(job) => job,
-            Err(_) => return,
-        };
-        let deadline = Instant::now() + config.batch_wait;
-        let mut pending: HashMap<u64, Batch> = HashMap::new();
-        let first_id = first.entry.id;
-        pending.insert(first_id, Batch { entry: Arc::clone(&first.entry), jobs: vec![first] });
-        let mut disconnected = false;
-        loop {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            match submit.recv_timeout(deadline - now) {
-                Ok(job) => {
-                    let id = job.entry.id;
-                    let batch = pending.entry(id).or_insert_with(|| Batch {
-                        entry: Arc::clone(&job.entry),
-                        jobs: Vec::new(),
-                    });
-                    batch.jobs.push(job);
-                    if batch.jobs.len() >= config.max_batch {
-                        let full = pending.remove(&id).expect("just inserted");
-                        let mut one = HashMap::new();
-                        one.insert(id, full);
-                        flush(&mut one);
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => break,
-                Err(RecvTimeoutError::Disconnected) => {
-                    disconnected = true;
-                    break;
-                }
-            }
-        }
-        flush(&mut pending);
-        if disconnected {
-            return;
-        }
+fn worker_loop(shared: &Shared, max_batch: usize) {
+    while let Some(jobs) = shared.next_batch(max_batch) {
+        let n = jobs.len();
+        shared.stats.batches.fetch_add(1, Ordering::Relaxed);
+        shared.stats.batched_jobs.fetch_add(n as u64, Ordering::Relaxed);
+        counter_add("serve_batches_total", &[], 1);
+        counter_add("serve_batch_jobs_total", &[], n as u64);
+        telemetry::global().metrics().observe_with(
+            "serve_batch_occupancy",
+            &[],
+            &OCCUPANCY_BOUNDS,
+            n as f64,
+        );
+        run_batch(jobs);
     }
 }
 
-fn worker_loop(batches: Receiver<Batch>) {
-    while let Ok(batch) = batches.recv() {
-        run_batch(batch);
-    }
-}
-
-fn run_batch(batch: Batch) {
-    let n = batch.jobs.len();
-    let input_len = batch.entry.input_len;
-    let horizon = batch.entry.horizon;
+fn run_batch(jobs: Vec<Job>) {
+    let n = jobs.len();
+    let entry = &jobs[0].entry;
+    let input_len = entry.input_len;
+    let horizon = entry.horizon;
     let mut windows = Tensor::zeros(n, input_len);
-    for (row, job) in batch.jobs.iter().enumerate() {
+    for (row, job) in jobs.iter().enumerate() {
         windows.data_mut()[row * input_len..(row + 1) * input_len].copy_from_slice(&job.window);
     }
     let started = Instant::now();
@@ -318,19 +270,15 @@ fn run_batch(batch: Batch) {
     // that silently shrinks the pool for the rest of the process.
     // (parking_lot mutexes do not poison, so the entry stays usable.)
     let result = catch_unwind(AssertUnwindSafe(|| {
-        let model = batch.entry.model.lock();
+        let model = entry.model.lock();
         model.predict_batch(&windows)
     }));
-    observe(
-        "serve_predict_seconds",
-        &[("model", &batch.entry.spec.model)],
-        secs(started.elapsed()),
-    );
+    observe("serve_predict_seconds", &[("model", &entry.spec.model)], secs(started.elapsed()));
     let preds = match result {
         Ok(Ok(t)) => t,
         Ok(Err(e)) => {
             let msg = e.to_string();
-            for job in batch.jobs {
+            for job in jobs {
                 let _ = job.reply.send(Err(msg.clone()));
             }
             return;
@@ -338,7 +286,7 @@ fn run_batch(batch: Batch) {
         Err(payload) => {
             counter_add("serve_predict_panics_total", &[], 1);
             let msg = format!("predict_batch panicked: {}", panic_text(payload.as_ref()));
-            for job in batch.jobs {
+            for job in jobs {
                 let _ = job.reply.send(Err(msg.clone()));
             }
             return;
@@ -346,12 +294,12 @@ fn run_batch(batch: Batch) {
     };
     if preds.rows() != n || preds.cols() != horizon {
         let msg = format!("predict_batch returned {:?}, expected [{n}, {horizon}]", preds.shape());
-        for job in batch.jobs {
+        for job in jobs {
             let _ = job.reply.send(Err(msg.clone()));
         }
         return;
     }
-    for (row, job) in batch.jobs.into_iter().enumerate() {
+    for (row, job) in jobs.into_iter().enumerate() {
         let values = preds.data()[row * horizon..(row + 1) * horizon].to_vec();
         let _ = job.reply.send(Ok(values));
     }
@@ -373,28 +321,17 @@ mod tests {
     use super::*;
     use crate::registry::{ModelEntry, ModelSpec};
     use evalcore::artifact::ArtifactKey;
-    use forecast::{build_model, BuildOptions, Profile};
+    use forecast::model::Forecaster;
+    use forecast::{build_model, BuildOptions, ForecastError, Profile};
+    use std::time::{Duration, Instant};
     use tsdata::datasets::{generate, DatasetKind, GenOptions};
+    use tsdata::series::MultiSeries;
     use tsdata::split::{split, SplitSpec};
 
     const INPUT_LEN: usize = 16;
     const HORIZON: usize = 4;
 
-    fn fitted_entry(id: u64) -> Arc<ModelEntry> {
-        let data =
-            generate(DatasetKind::ETTm1, GenOptions { len: Some(360), channels: Some(1), seed: 7 });
-        let s = split(&data, SplitSpec::default()).expect("360 points split cleanly");
-        let mut model = build_model(
-            forecast::ModelKind::DLinear,
-            BuildOptions {
-                input_len: INPUT_LEN,
-                horizon: HORIZON,
-                season: None,
-                seed: 40,
-                profile: Profile::Fast,
-            },
-        );
-        model.fit(&s.train, &s.val).expect("tiny fit succeeds");
+    fn entry_with(id: u64, model: Box<dyn Forecaster>) -> Arc<ModelEntry> {
         let spec = ModelSpec {
             dataset: "ETTm1".into(),
             model: "DLinear".into(),
@@ -425,6 +362,34 @@ mod tests {
         })
     }
 
+    fn fitted_entry(id: u64) -> Arc<ModelEntry> {
+        let data =
+            generate(DatasetKind::ETTm1, GenOptions { len: Some(360), channels: Some(1), seed: 7 });
+        let s = split(&data, SplitSpec::default()).expect("360 points split cleanly");
+        let mut model = build_model(
+            forecast::ModelKind::DLinear,
+            BuildOptions {
+                input_len: INPUT_LEN,
+                horizon: HORIZON,
+                season: None,
+                seed: 40,
+                profile: Profile::Fast,
+            },
+        );
+        model.fit(&s.train, &s.val).expect("tiny fit succeeds");
+        entry_with(id, model)
+    }
+
+    /// Spins until `cond` holds; the deadline turns a lost wake-up into a
+    /// test failure instead of a hang.
+    fn wait_until(what: &str, cond: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while !cond() {
+            assert!(Instant::now() < deadline, "timed out waiting until {what}");
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
     fn scheduled_forecasts_match_direct_predict_bitwise() {
         let entry = fitted_entry(1);
@@ -441,39 +406,115 @@ mod tests {
         assert_eq!(sched.stats().batched_jobs.load(Ordering::Relaxed), 1);
     }
 
+    /// Shut until [`Gate::open`]; stays open afterwards.
+    #[derive(Default)]
+    struct Gate {
+        open: Mutex<bool>,
+        opened: Condvar,
+    }
+
+    impl Gate {
+        fn wait(&self) {
+            let open = self.open.lock().unwrap();
+            drop(self.opened.wait_while(open, |open| !*open).unwrap());
+        }
+
+        fn open(&self) {
+            *self.open.lock().unwrap() = true;
+            self.opened.notify_all();
+        }
+    }
+
+    /// The batches gated models ran, in order: the model's tag and each
+    /// row's first value.
+    type BatchLog = Arc<Mutex<Vec<(u64, Vec<f64>)>>>;
+
+    /// A model whose `predict_batch` waits for the gate and logs the
+    /// batch. It forecasts `window[i] + tag`, so a row run by another
+    /// entry's model or handed to another requester is wrong.
+    struct GatedModel {
+        tag: u64,
+        gate: Arc<Gate>,
+        log: BatchLog,
+    }
+
+    impl Forecaster for GatedModel {
+        fn name(&self) -> &'static str {
+            "Gated"
+        }
+        fn input_len(&self) -> usize {
+            INPUT_LEN
+        }
+        fn horizon(&self) -> usize {
+            HORIZON
+        }
+        fn fit(&mut self, _train: &MultiSeries, _val: &MultiSeries) -> Result<(), ForecastError> {
+            Ok(())
+        }
+        fn predict(&self, inputs: &[Vec<f64>]) -> Result<Vec<f64>, ForecastError> {
+            Ok(inputs[0][..HORIZON].iter().map(|v| v + self.tag as f64).collect())
+        }
+        fn predict_batch(&self, windows: &Tensor) -> Result<Tensor, ForecastError> {
+            self.gate.wait();
+            let firsts = windows.data().chunks(INPUT_LEN).map(|w| w[0]).collect();
+            self.log.lock().unwrap().push((self.tag, firsts));
+            let mut out = Tensor::zeros(windows.rows(), HORIZON);
+            for (row, window) in
+                out.data_mut().chunks_mut(HORIZON).zip(windows.data().chunks(INPUT_LEN))
+            {
+                row.copy_from_slice(&self.predict(&[window.to_vec()])?);
+            }
+            Ok(out)
+        }
+    }
+
     #[test]
     fn concurrent_same_model_requests_coalesce() {
-        let entry = fitted_entry(1);
-        // A long batching window guarantees all threads land in one batch.
-        let sched = Arc::new(Scheduler::start(SchedulerConfig {
-            batch_wait: Duration::from_millis(200),
-            ..Default::default()
-        }));
-        let clients = 6;
-        let mut handles = Vec::new();
-        for c in 0..clients {
-            let sched = Arc::clone(&sched);
-            let entry = Arc::clone(&entry);
-            handles.push(std::thread::spawn(move || {
-                let window: Vec<f64> =
-                    (0..INPUT_LEN).map(|i| ((i + c) as f64 * 0.25).sin()).collect();
-                let served = sched.forecast(Arc::clone(&entry), window.clone()).unwrap();
-                let direct = entry.model.lock().predict(&[window]).expect("direct predict");
-                for (s, d) in served.iter().zip(direct.iter()) {
-                    assert_eq!(s.to_bits(), d.to_bits());
+        // One worker, held by the gate inside a batch of one A job. The
+        // jobs queued meanwhile (A, B, A) run oldest entry first, and an
+        // entry's batch never takes another entry's job.
+        let gate = Arc::new(Gate::default());
+        let log = BatchLog::default();
+        let gated = |id: u64, tag: u64| {
+            entry_with(
+                id,
+                Box::new(GatedModel { tag, gate: Arc::clone(&gate), log: Arc::clone(&log) }),
+            )
+        };
+        let (a, b) = (gated(1, 100), gated(2, 200));
+        let sched = Scheduler::start(SchedulerConfig { workers: 1, ..Default::default() });
+        // Job k's window starts at k, so the log names the jobs in each
+        // batch.
+        let window =
+            |k: usize| -> Vec<f64> { (0..INPUT_LEN).map(|i| k as f64 + i as f64 / 64.0).collect() };
+        let entries = [&a, &a, &b, &a];
+        std::thread::scope(|s| {
+            let mut handles = Vec::new();
+            for (k, entry) in entries.into_iter().enumerate() {
+                let (sched, entry, w) = (&sched, Arc::clone(entry), window(k));
+                handles.push(s.spawn(move || sched.forecast(entry, w)));
+                if k == 0 {
+                    wait_until("the worker holds the first job", || {
+                        sched.stats().batches.load(Ordering::Relaxed) == 1
+                    });
+                } else {
+                    wait_until("the job is queued", || sched.shared.lock().jobs.len() == k);
                 }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        let batches = sched.stats().batches.load(Ordering::Relaxed);
-        let jobs = sched.stats().batched_jobs.load(Ordering::Relaxed);
-        assert_eq!(jobs, clients as u64);
-        assert!(
-            batches < clients as u64,
-            "6 concurrent requests must coalesce into fewer than 6 batches (got {batches})"
+            }
+            gate.open();
+            for (k, (handle, entry)) in handles.into_iter().zip(entries).enumerate() {
+                let served = handle.join().unwrap().expect("forecast succeeds");
+                let direct = entry.model.lock().predict(&[window(k)]).expect("direct predict");
+                assert_eq!(served, direct, "job {k} must get its own window's row");
+            }
+        });
+        assert_eq!(
+            *log.lock().unwrap(),
+            [(100, vec![0.0]), (100, vec![1.0, 3.0]), (200, vec![2.0])],
+            "A alone, then A+A, then B"
         );
+        assert_eq!(sched.stats().batches.load(Ordering::Relaxed), 3);
+        assert_eq!(sched.stats().batched_jobs.load(Ordering::Relaxed), 4);
     }
 
     #[test]
@@ -536,16 +577,7 @@ mod tests {
     }
 
     fn panicky_entry(id: u64) -> Arc<ModelEntry> {
-        let good = fitted_entry(id);
-        Arc::new(ModelEntry {
-            spec: good.spec.clone(),
-            key: good.key.clone(),
-            model: parking_lot::Mutex::new(Box::new(PanickyModel)),
-            input_len: INPUT_LEN,
-            horizon: HORIZON,
-            bytes: 64,
-            id,
-        })
+        entry_with(id, Box::new(PanickyModel))
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! End-to-end loopback tests for the serving stack: the bit-identity
-//! contract over real TCP for every model family, request coalescing +
-//! admission control under a gated model, registry LRU eviction, and
+//! contract over real TCP for every model family, work-conserving
+//! batching + admission control under a gated model, registry LRU eviction, and
 //! protocol robustness against malformed frames.
 
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use evalcore::artifact::{ArtifactKey, ArtifactStore};
 use forecast::model::{ForecastError, Forecaster, ModelKind, ALL_MODELS};
@@ -152,7 +152,7 @@ fn served_forecasts_are_bit_identical_for_every_model_family() {
 }
 
 /// A forecaster whose `predict` blocks until the test releases a gate —
-/// lets the test hold worker threads mid-batch to observe coalescing and
+/// lets the test hold worker threads mid-batch to observe batching and
 /// admission control deterministically.
 type Gate = Arc<(std::sync::Mutex<bool>, std::sync::Condvar)>;
 
@@ -229,10 +229,11 @@ fn gate_entry(id: u64) -> (Arc<ModelEntry>, Gate) {
     (entry, gate)
 }
 
-/// With a gated model holding the single worker, concurrent requests
-/// coalesce into one batch, the queue bound rejects the overflow request
-/// with the typed Overloaded response, and everything admitted completes
-/// after release.
+/// Work-conserving batching with one gated worker: the first request
+/// holds the worker, the requests sent meanwhile queue behind it and run
+/// as one batch, the one that finds every admission slot taken gets the
+/// typed Overloaded response, and each admitted request gets the forecast
+/// of its own series.
 #[test]
 fn requests_coalesce_and_overflow_is_rejected_typed() {
     let registry = Arc::new(ModelRegistry::empty(RegistryConfig::default()));
@@ -241,57 +242,67 @@ fn requests_coalesce_and_overflow_is_rejected_typed() {
 
     let depth = 4;
     let config = ServeConfig {
-        scheduler: SchedulerConfig {
-            queue_depth: depth,
-            max_batch: 64,
-            batch_wait: Duration::from_millis(500),
-            workers: 1,
-        },
+        scheduler: SchedulerConfig { queue_depth: depth, max_batch: 64, workers: 1 },
         ..Default::default()
     };
     let mut server = Server::start(config, Arc::clone(&registry)).expect("server starts");
     let addr = server.local_addr();
 
-    // Stage a series long enough to window.
+    // One series per request: series `s` holds `100 s + i` at point `i`,
+    // so its 16-point trailing window starts at `100 s + 16`, and a row
+    // handed to the wrong requester shows in the values.
+    let series: Vec<u64> = (1..=depth as u64 + 1).collect();
     let mut seed_client = Client::connect(addr).expect("connect");
-    let points: Vec<(i64, f64)> = (0..32).map(|i| (i as i64 * 60, i as f64)).collect();
-    seed_client.ingest(1, 0, 0.0, &points).expect("ingest");
+    for &s in &series {
+        let points: Vec<(i64, f64)> =
+            (0..32).map(|i| (i * 60, (100 * s as i64 + i) as f64)).collect();
+        seed_client.ingest(s, 0, 0.0, &points).expect("ingest");
+    }
+    let expected =
+        |s: u64| -> Vec<f64> { (0..HORIZON).map(|i| (100 * s + 16) as f64 + i as f64).collect() };
 
     let spec =
         ModelSpec { dataset: "ETTm1".into(), model: "Gate".into(), method: None, eps_bits: None };
-
-    // Fill every admission slot with requests that block on the gate.
-    let mut handles = Vec::new();
-    for _ in 0..depth {
-        let spec = spec.clone();
-        handles.push(std::thread::spawn(move || {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let send = |s: u64| {
+        let (spec, tx) = (spec.clone(), tx.clone());
+        std::thread::spawn(move || {
             let mut c = Client::connect(addr).expect("connect");
-            c.forecast(&spec, 1)
-        }));
-    }
-    // Give the admitted requests time to land in the scheduler.
-    std::thread::sleep(Duration::from_millis(150));
+            tx.send((s, c.forecast(&spec, s))).expect("the test receives every reply");
+        })
+    };
 
-    // The depth+1'th request must bounce with the typed overload error.
-    let mut overflow = Client::connect(addr).expect("connect");
-    match overflow.forecast(&spec, 1) {
-        Err(ServeError::Overloaded { depth: d }) => assert_eq!(d, depth),
+    // The first request takes the only worker and blocks on the gate.
+    let mut handles = vec![send(series[0])];
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !seed_client.stats().expect("stats").contains("batches=1\n") {
+        assert!(Instant::now() < deadline, "the first request never reached the worker");
+        std::thread::yield_now();
+    }
+    // The other `depth - 1` admitted requests queue behind it, and one more
+    // overflows the admission bound.
+    handles.extend(series[1..].iter().map(|&s| send(s)));
+    // No admitted request can finish while the gate is shut, so the first
+    // reply is the overflow's.
+    match rx.recv().expect("a reply") {
+        (_, Err(ServeError::Overloaded { depth: d })) => assert_eq!(d, depth),
         other => panic!("expected Overloaded, got {other:?}"),
     }
 
     GateModel::release(&gate);
-    let expected: Vec<f64> = (0..HORIZON).map(|i| 16.0 + i as f64).collect();
     for h in handles {
-        let values = h.join().unwrap().expect("admitted forecast completes");
-        assert_eq!(values, expected);
+        h.join().unwrap();
+    }
+    drop(tx);
+    let replies: Vec<_> = rx.iter().collect();
+    assert_eq!(replies.len(), depth);
+    for (s, values) in replies {
+        assert_eq!(values.expect("admitted forecast completes"), expected(s), "series {s}");
     }
 
-    // All four admitted jobs travelled in a single coalesced batch.
+    // The held request ran alone; the queued ones shared the next batch.
     let stats = seed_client.stats().expect("stats");
-    assert!(
-        stats.contains("batches=1\n"),
-        "4 concurrent gated requests must coalesce into one batch:\n{stats}"
-    );
+    assert!(stats.contains("batches=2\n"), "stats:\n{stats}");
     assert!(stats.contains(&format!("batched_jobs={depth}\n")), "stats:\n{stats}");
     assert!(stats.contains("overloaded=1\n"), "stats:\n{stats}");
     server.stop();
