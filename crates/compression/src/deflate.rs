@@ -9,6 +9,36 @@
 //! is our own (mode byte + length), not RFC 1951 bit-exact, but the
 //! compression behaviour — LZ77 window, 3..258 match lengths, Huffman over
 //! the DEFLATE alphabets — matches.
+//!
+//! # Matcher
+//!
+//! [`compress`] is greedy: at each position it walks the hash chain of
+//! earlier positions with the same 3-byte hash, newest first, for at most
+//! 96 steps or until a candidate lies more than the 32 KiB window back,
+//! and takes the first candidate with the longest match. Every codec
+//! frame's bytes, and so every compression ratio, depends on exactly this
+//! choice. The matcher keeps the choice and makes each chain step cheap:
+//!
+//! - **Window ring.** The chain links live in a `WINDOW`-slot ring of `u32`
+//!   positions (`prev[p % WINDOW]`), not one `usize` per input byte. Slot
+//!   `p % WINDOW` is next written when position `p + WINDOW` is inserted,
+//!   and every search after that starts more than `WINDOW` bytes past `p`.
+//!   A walk reads `p`'s slot only after `p` passed the window test, so it
+//!   always reads the link `p` stored. (`u32` positions add no limit: the
+//!   frame header already stores the input length as a `u32`.)
+//! - **Skip test.** A candidate can only beat the best match of length
+//!   `best_len` if it also agrees at byte `best_len`. A candidate that
+//!   differs there is passed over without extending. It still counts as a
+//!   chain step.
+//! - **Wide compares.** Matches extend eight bytes at a time.
+//!
+//! Length and distance symbols come from a 259-entry table and a closed
+//! form instead of scans of the DEFLATE code tables.
+//!
+//! The test module keeps the first matcher as `reference_tokenize` and
+//! checks the two agree token for token. `tests/deflate_digests.rs` pins
+//! the output bytes on inputs far past the window, with copies at exactly
+//! 32,768 and 32,769 bytes back.
 
 use crate::bitstream::{BitReader, BitWriter};
 use crate::huffman::{CanonicalCode, HuffmanError};
@@ -129,28 +159,50 @@ const DIST_TABLE: [(u16, u8); 30] = [
     (24577, 13),
 ];
 
+/// `LEN_CODE[len]` indexes the [`LEN_TABLE`] row coding match length
+/// `len`: the last row whose base is ≤ `len` (so 258 takes its own
+/// zero-extra-bit code, not 227 + 31).
+const LEN_CODE: [u8; MAX_MATCH + 1] = {
+    let mut t = [0u8; MAX_MATCH + 1];
+    let mut code = 0;
+    let mut len = MIN_MATCH;
+    while len <= MAX_MATCH {
+        while code + 1 < LEN_TABLE.len() && LEN_TABLE[code + 1].0 as usize <= len {
+            code += 1;
+        }
+        t[len] = code as u8;
+        len += 1;
+    }
+    t
+};
+
 fn length_symbol(len: usize) -> (usize, u16, u8) {
     debug_assert!((MIN_MATCH..=MAX_MATCH).contains(&len));
-    let mut i = LEN_TABLE.len() - 1;
-    while LEN_TABLE[i].0 as usize > len {
-        i -= 1;
-    }
+    let i = LEN_CODE[len] as usize;
     (257 + i, LEN_TABLE[i].0, LEN_TABLE[i].1)
 }
 
+/// Distance codes come in pairs per power of two: past the four
+/// one-distance codes, `dist - 1` in `[2^k, 2^(k+1))` takes code `2k` or
+/// `2k + 1` by the bit below its top bit.
 fn distance_symbol(dist: usize) -> (usize, u16, u8) {
     debug_assert!((1..=WINDOW).contains(&dist));
-    let mut i = DIST_TABLE.len() - 1;
-    while DIST_TABLE[i].0 as usize > dist {
-        i -= 1;
-    }
+    let d = dist - 1;
+    let i = if d < 4 {
+        d
+    } else {
+        let k = d.ilog2() as usize;
+        2 * k + ((d >> (k - 1)) & 1)
+    };
     (i, DIST_TABLE[i].0, DIST_TABLE[i].1)
 }
 
-#[derive(Debug, Clone, Copy)]
+/// Lengths are ≤ [`MAX_MATCH`] and distances ≤ [`WINDOW`], so both fit in
+/// 16 bits and a token takes 6 bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Token {
     Literal(u8),
-    Match { len: usize, dist: usize },
+    Match { len: u16, dist: u16 },
 }
 
 fn hash(data: &[u8], i: usize) -> usize {
@@ -161,7 +213,33 @@ fn hash(data: &[u8], i: usize) -> usize {
     (h >> (32 - HASH_BITS)) as usize
 }
 
-/// Greedy LZ77 tokenization with hash chains.
+/// Empty `head` bucket / end of a hash chain.
+const NIL: u32 = u32::MAX;
+
+/// Length of the common prefix of `data[a..]` and `data[b..]`, capped at
+/// `limit`, compared eight bytes at a time. Requires `a < b` and
+/// `b + limit <= data.len()`.
+fn match_len(data: &[u8], a: usize, b: usize, limit: usize) -> usize {
+    let (x, y) = (&data[a..a + limit], &data[b..b + limit]);
+    let mut l = 0;
+    while l + 8 <= limit {
+        let u = u64::from_le_bytes(x[l..l + 8].try_into().expect("8 bytes"));
+        let v = u64::from_le_bytes(y[l..l + 8].try_into().expect("8 bytes"));
+        if u != v {
+            return l + ((u ^ v).trailing_zeros() / 8) as usize;
+        }
+        l += 8;
+    }
+    while l < limit && x[l] == y[l] {
+        l += 1;
+    }
+    l
+}
+
+/// Greedy LZ77 tokenization with hash chains: at each position, walk at
+/// most [`CHAIN_LIMIT`] earlier positions with the same hash, newest first,
+/// and take the first one with the longest match (see the module doc for
+/// why the ring and the skip test leave the tokens unchanged).
 fn tokenize(data: &[u8]) -> Vec<Token> {
     let n = data.len();
     // Literal-heavy inputs produce close to one token per byte, matches
@@ -171,56 +249,52 @@ fn tokenize(data: &[u8]) -> Vec<Token> {
         tokens.extend(data.iter().map(|&b| Token::Literal(b)));
         return tokens;
     }
-    let mut head = vec![usize::MAX; 1 << HASH_BITS];
-    let mut prev = vec![usize::MAX; n];
+    let mut head = vec![NIL; 1 << HASH_BITS];
+    // prev[p % WINDOW]: the position before p with p's hash.
+    let mut prev = vec![NIL; WINDOW];
+    let last_insert = n - MIN_MATCH;
     let mut i = 0;
-    let insert = |head: &mut Vec<usize>, prev: &mut Vec<usize>, data: &[u8], pos: usize| {
-        if pos + MIN_MATCH <= data.len() {
-            let h = hash(data, pos);
-            prev[pos] = head[h];
-            head[h] = pos;
-        }
-    };
     while i < n {
         let mut best_len = 0;
         let mut best_dist = 0;
-        if i + MIN_MATCH <= n {
-            let h = hash(data, i);
-            let mut cand = head[h];
-            let mut chains = 0;
+        if i <= last_insert {
             let limit = (n - i).min(MAX_MATCH);
-            while cand != usize::MAX && chains < CHAIN_LIMIT {
-                let dist = i - cand;
+            let mut cand = head[hash(data, i)];
+            let mut chains = 0;
+            while cand != NIL && chains < CHAIN_LIMIT {
+                let c = cand as usize;
+                let dist = i - c;
                 if dist > WINDOW {
                     break;
                 }
-                // Extend match.
-                let mut l = 0;
-                while l < limit && data[cand + l] == data[i + l] {
-                    l += 1;
-                }
-                if l > best_len {
-                    best_len = l;
-                    best_dist = dist;
-                    if l == limit {
-                        break;
+                // A longer match must agree at `best_len` (< limit) too.
+                if data[c + best_len] == data[i + best_len] {
+                    let l = match_len(data, c, i, limit);
+                    if l > best_len {
+                        best_len = l;
+                        best_dist = dist;
+                        if l == limit {
+                            break;
+                        }
                     }
                 }
-                cand = prev[cand];
+                cand = prev[c & (WINDOW - 1)];
                 chains += 1;
             }
         }
-        if best_len >= MIN_MATCH {
-            tokens.push(Token::Match { len: best_len, dist: best_dist });
-            for k in 0..best_len {
-                insert(&mut head, &mut prev, data, i + k);
-            }
-            i += best_len;
+        let step = if best_len >= MIN_MATCH {
+            tokens.push(Token::Match { len: best_len as u16, dist: best_dist as u16 });
+            best_len
         } else {
             tokens.push(Token::Literal(data[i]));
-            insert(&mut head, &mut prev, data, i);
-            i += 1;
+            1
+        };
+        for pos in i..(i + step).min(last_insert + 1) {
+            let h = hash(data, pos);
+            prev[pos & (WINDOW - 1)] = head[h];
+            head[h] = pos as u32;
         }
+        i += step;
     }
     tokens
 }
@@ -237,8 +311,8 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
         match *t {
             Token::Literal(b) => lit_freq[b as usize] += 1,
             Token::Match { len, dist } => {
-                lit_freq[length_symbol(len).0] += 1;
-                dist_freq[distance_symbol(dist).0] += 1;
+                lit_freq[length_symbol(len.into()).0] += 1;
+                dist_freq[distance_symbol(dist.into()).0] += 1;
             }
         }
     }
@@ -263,6 +337,7 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
         match *t {
             Token::Literal(b) => lit_code.encode(b as usize, &mut w),
             Token::Match { len, dist } => {
+                let (len, dist) = (usize::from(len), usize::from(dist));
                 let (sym, base, extra) = length_symbol(len);
                 lit_code.encode(sym, &mut w);
                 w.write_bits((len - base as usize) as u64, extra);
@@ -357,6 +432,171 @@ pub fn compressed_size(data: &[u8]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The matcher as first written, kept as the oracle for [`tokenize`]:
+    /// one `usize` chain link per input byte, byte-at-a-time extension, no
+    /// skip test.
+    fn reference_tokenize(data: &[u8]) -> Vec<Token> {
+        let n = data.len();
+        // Literal-heavy inputs produce close to one token per byte, matches
+        // far fewer; half-and-half keeps reallocation to one doubling.
+        let mut tokens = Vec::with_capacity(n / 2 + 16);
+        if n < MIN_MATCH + 1 {
+            tokens.extend(data.iter().map(|&b| Token::Literal(b)));
+            return tokens;
+        }
+        let mut head = vec![usize::MAX; 1 << HASH_BITS];
+        let mut prev = vec![usize::MAX; n];
+        let mut i = 0;
+        let insert = |head: &mut Vec<usize>, prev: &mut Vec<usize>, data: &[u8], pos: usize| {
+            if pos + MIN_MATCH <= data.len() {
+                let h = hash(data, pos);
+                prev[pos] = head[h];
+                head[h] = pos;
+            }
+        };
+        while i < n {
+            let mut best_len = 0;
+            let mut best_dist = 0;
+            if i + MIN_MATCH <= n {
+                let h = hash(data, i);
+                let mut cand = head[h];
+                let mut chains = 0;
+                let limit = (n - i).min(MAX_MATCH);
+                while cand != usize::MAX && chains < CHAIN_LIMIT {
+                    let dist = i - cand;
+                    if dist > WINDOW {
+                        break;
+                    }
+                    // Extend match.
+                    let mut l = 0;
+                    while l < limit && data[cand + l] == data[i + l] {
+                        l += 1;
+                    }
+                    if l > best_len {
+                        best_len = l;
+                        best_dist = dist;
+                        if l == limit {
+                            break;
+                        }
+                    }
+                    cand = prev[cand];
+                    chains += 1;
+                }
+            }
+            if best_len >= MIN_MATCH {
+                tokens.push(Token::Match { len: best_len as u16, dist: best_dist as u16 });
+                for k in 0..best_len {
+                    insert(&mut head, &mut prev, data, i + k);
+                }
+                i += best_len;
+            } else {
+                tokens.push(Token::Literal(data[i]));
+                insert(&mut head, &mut prev, data, i);
+                i += 1;
+            }
+        }
+        tokens
+    }
+
+    /// Bytes from a seeded xorshift64, folded into `alphabet` symbols: small
+    /// alphabets give long, dense hash chains, large ones sparse chains.
+    fn noise(seed: u64, len: usize, alphabet: u8) -> Vec<u8> {
+        let mut x = seed | 1;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                ((x >> 32) % alphabet.max(1) as u64) as u8
+            })
+            .collect()
+    }
+
+    /// Fails with the first differing token when the matcher and the
+    /// oracle disagree (printing whole streams would drown the report).
+    fn agree(data: &[u8]) -> Result<(), TestCaseError> {
+        let (got, want) = (tokenize(data), reference_tokenize(data));
+        let msg = match got.iter().zip(&want).position(|(g, w)| g != w) {
+            Some(k) => format!("token {k}: got {:?}, oracle {:?}", got[k], want[k]),
+            None if got.len() != want.len() => {
+                format!("{} tokens, oracle {}", got.len(), want.len())
+            }
+            None => return Ok(()),
+        };
+        Err(TestCaseError::fail(msg))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn matcher_agrees_with_oracle_on_random_bytes(
+            seed in any::<u64>(),
+            len in 0..100_000usize,
+            alphabet in 1..=255u8,
+        ) {
+            agree(&noise(seed, len, alphabet))?;
+        }
+
+        #[test]
+        fn matcher_agrees_with_oracle_on_repeats_at_the_window_edge(
+            seed in any::<u64>(),
+            alphabet in 16..=255u8,
+            copy_len in 16..600usize,
+        ) {
+            // A noise block, then one copy at every distance from 32,760
+            // to 32,775 (32,768 is the farthest DEFLATE can code), each
+            // followed by a few noise bytes so copies do not run together.
+            let mut data = noise(seed, 40_000, alphabet);
+            let gap = noise(seed ^ 0x5bd1_e995, 7, alphabet);
+            for dist in 32_760..=32_775 {
+                for _ in 0..copy_len {
+                    data.push(data[data.len() - dist]);
+                }
+                data.extend_from_slice(&gap);
+            }
+            agree(&data)?;
+        }
+
+        #[test]
+        fn matcher_agrees_with_oracle_on_long_runs(
+            seed in any::<u64>(),
+            len in 0..100_000usize,
+        ) {
+            // Runs of 1..1,000 copies of one byte: matches hit the
+            // 258-byte cap and chains fill with one hash.
+            // Two draws per run, and at most `len` runs.
+            let draws = noise(seed, 2 * len + 2, 255);
+            let mut data = Vec::with_capacity(len);
+            let mut k = 0;
+            while data.len() < len {
+                let run = draws[k] as usize * 4 % 1_000 + 1;
+                data.extend(std::iter::repeat_n(draws[k + 1] % 4, run.min(len - data.len())));
+                k += 2;
+            }
+            agree(&data)?;
+        }
+    }
+
+    #[test]
+    fn symbol_lookups_match_a_table_scan() {
+        let scan = |table: &[(u16, u8)], v: usize| {
+            let i = table.iter().rposition(|&(base, _)| base as usize <= v).expect("base 1 or 3");
+            (i, table[i].0, table[i].1)
+        };
+        for len in MIN_MATCH..=MAX_MATCH {
+            let (i, base, extra) = scan(&LEN_TABLE, len);
+            assert_eq!(length_symbol(len), (257 + i, base, extra), "length {len}");
+            assert!(len - (base as usize) < 1 << extra, "length {len} fits its extra bits");
+        }
+        for dist in 1..=WINDOW {
+            let (i, base, extra) = scan(&DIST_TABLE, dist);
+            assert_eq!(distance_symbol(dist), (i, base, extra), "distance {dist}");
+            assert!(dist - (base as usize) < 1 << extra, "distance {dist} fits its extra bits");
+        }
+    }
 
     fn roundtrip(data: &[u8]) {
         let c = compress(data);

@@ -10,7 +10,13 @@
 //! 2. **Block split.** The (nonzero) log values are cut into fixed blocks.
 //! 3. **Best-fit predictor per block** among classic Lorenzo (previous
 //!    reconstructed value), mean-integrated Lorenzo (block mean) and linear
-//!    regression, chosen by estimated coding cost.
+//!    regression, chosen by estimated coding cost. Each code's cost,
+//!    `2·log2(|m|+2) + 1` bits, comes from a table built from that
+//!    expression, so every sum keeps its bits. The candidates run in that
+//!    order into two reused buffers, and a later one wins only if strictly
+//!    cheaper. A candidate stops as soon as its running cost reaches the
+//!    best so far: every term is ≥ 1 and adding positive floats never
+//!    lowers a sum, so it could not have won (exact, not a heuristic).
 //! 4. **Linear-scale quantization** of prediction residuals into
 //!    `2·RADIUS + 1` bins of width `2δ`; out-of-range points are stored
 //!    verbatim ("unpredictable", as in SZ).
@@ -20,6 +26,8 @@
 //! The quantization step is what makes SZ's output look piecewise-constant
 //! with short-interval fluctuations (paper Figure 1), and this
 //! implementation reproduces that texture.
+
+use std::sync::OnceLock;
 
 use tsdata::series::RegularTimeSeries;
 
@@ -75,61 +83,90 @@ impl Predictor {
             Predictor::Linear { .. } => 2,
         }
     }
-}
 
-/// Encodes one block with the given predictor, returning quantization codes
-/// (`None` = unpredictable) and the reconstructed values.
-fn quantize_block(
-    block: &[f64],
-    pred: Predictor,
-    prev_recon: Option<f64>,
-    delta: f64,
-) -> (Vec<Option<i64>>, Vec<f64>) {
-    let mut codes = Vec::with_capacity(block.len());
-    let mut recon = Vec::with_capacity(block.len());
-    for (i, &t) in block.iter().enumerate() {
-        let p = match pred {
-            Predictor::Lorenzo => {
-                if i > 0 {
-                    recon[i - 1]
-                } else {
-                    prev_recon.unwrap_or(0.0)
-                }
-            }
-            Predictor::Mean(m) => m,
-            Predictor::Linear { a, b } => a + b * i as f64,
-        };
-        // Range-check before casting: a non-finite quotient (NaN/±inf
-        // values from a hostile decode) saturates `as i64` to i64::MIN,
-        // whose .abs() overflows.
-        let q = ((t - p) / (2.0 * delta)).round();
-        if q.is_finite() && q.abs() <= RADIUS as f64 {
-            let m = q as i64;
-            let r = p + 2.0 * delta * m as f64;
-            // Guard against pathological float cancellation: if the
-            // reconstruction drifted past the bound, store verbatim.
-            if (r - t).abs() <= delta {
-                codes.push(Some(m));
-                recon.push(r);
-                continue;
-            }
+    /// Coefficient storage, counted toward the block's cost (Lorenzo is
+    /// free).
+    fn coeff_bits(&self) -> f64 {
+        match self {
+            Predictor::Lorenzo => 0.0,
+            Predictor::Mean(_) => 64.0,
+            Predictor::Linear { .. } => 128.0,
         }
-        codes.push(None);
-        recon.push(t);
     }
-    (codes, recon)
 }
 
-/// Estimated coding cost in bits for a code sequence.
-fn cost(codes: &[Option<i64>]) -> f64 {
-    codes
-        .iter()
-        .map(|c| match c {
-            // ~2·log2(|m|+2) models the Huffman length of a centered code.
-            Some(m) => 2.0 * ((m.abs() + 2) as f64).log2() + 1.0,
-            None => 72.0, // escape symbol + raw f64
-        })
-        .sum()
+/// Estimated coding cost in bits of quantization code `m`, indexed by
+/// `|m|`: `2·log2(|m|+2) + 1` models the Huffman length of a centered code.
+fn code_costs() -> &'static [f64; RADIUS as usize + 1] {
+    static TABLE: OnceLock<[f64; RADIUS as usize + 1]> = OnceLock::new();
+    TABLE.get_or_init(|| std::array::from_fn(|m| 2.0 * ((m + 2) as f64).log2() + 1.0))
+}
+
+/// Estimated cost of an unpredictable point: escape symbol plus raw f64.
+const ESCAPE_COST: f64 = 72.0;
+
+/// One candidate predictor's quantization of a block: codes (`None` =
+/// unpredictable, stored verbatim) and reconstructed values.
+#[derive(Debug, Default)]
+struct Quantized {
+    codes: Vec<Option<i64>>,
+    recon: Vec<f64>,
+}
+
+impl Quantized {
+    /// Quantizes `block` under `pred` into `self` and returns the estimated
+    /// cost in bits (codes, then coefficients), or `None` as soon as the
+    /// running cost reaches `best` — the candidate can no longer win.
+    fn quantize(
+        &mut self,
+        block: &[f64],
+        pred: Predictor,
+        prev_recon: Option<f64>,
+        delta: f64,
+        best: f64,
+    ) -> Option<f64> {
+        let costs = code_costs();
+        let coeff_bits = pred.coeff_bits();
+        self.codes.resize(block.len(), None);
+        self.recon.resize(block.len(), 0.0);
+        let mut bits = 0.0;
+        let mut last = prev_recon.unwrap_or(0.0);
+        for (i, ((&t, code_out), recon_out)) in
+            block.iter().zip(&mut self.codes).zip(&mut self.recon).enumerate()
+        {
+            let p = match pred {
+                Predictor::Lorenzo => last,
+                Predictor::Mean(m) => m,
+                Predictor::Linear { a, b } => a + b * i as f64,
+            };
+            let (code, r) = quantize_point(t, p, delta);
+            bits += code.map_or(ESCAPE_COST, |m| costs[m.unsigned_abs() as usize]);
+            if bits + coeff_bits >= best {
+                return None;
+            }
+            (*code_out, *recon_out, last) = (code, r, r);
+        }
+        Some(bits + coeff_bits)
+    }
+}
+
+/// Quantizes `t` against prediction `p`: the code (`None` = unpredictable)
+/// and the reconstructed value.
+fn quantize_point(t: f64, p: f64, delta: f64) -> (Option<i64>, f64) {
+    // Range-check before casting: a non-finite quotient (NaN/±inf values
+    // from a hostile decode) saturates `as i64` to i64::MIN, whose .abs()
+    // overflows.
+    let q = ((t - p) / (2.0 * delta)).round();
+    if q.is_finite() && q.abs() <= RADIUS as f64 {
+        let m = q as i64;
+        let r = p + 2.0 * delta * m as f64;
+        // Guard against pathological float cancellation: if the
+        // reconstruction drifted past the bound, store verbatim.
+        if (r - t).abs() <= delta {
+            return (Some(m), r);
+        }
+    }
+    (None, t)
 }
 
 fn fit_linear(block: &[f64]) -> (f64, f64) {
@@ -150,32 +187,29 @@ fn fit_linear(block: &[f64]) -> (f64, f64) {
     (mean_t - b * mean_i, b)
 }
 
-/// Chooses the cheapest predictor for a block (SZ's best-fit selection).
-#[allow(clippy::type_complexity)]
+/// Chooses the cheapest predictor for a block (SZ's best-fit selection,
+/// stage 3 in the module doc) and leaves its quantization in `best`;
+/// `spare` is the other candidate buffer. Ties keep the earlier
+/// predictor.
 fn select_predictor(
     block: &[f64],
     prev_recon: Option<f64>,
     delta: f64,
-) -> (Predictor, Vec<Option<i64>>, Vec<f64>) {
+    best: &mut Quantized,
+    spare: &mut Quantized,
+) -> Predictor {
     let mean = block.iter().sum::<f64>() / block.len() as f64;
     let (a, b) = fit_linear(block);
-    let candidates = [Predictor::Lorenzo, Predictor::Mean(mean), Predictor::Linear { a, b }];
-    let mut best: Option<(f64, Predictor, Vec<Option<i64>>, Vec<f64>)> = None;
-    for pred in candidates {
-        let (codes, recon) = quantize_block(block, pred, prev_recon, delta);
-        // Coefficient storage counts toward the cost (Lorenzo is free).
-        let coeff_bits = match pred {
-            Predictor::Lorenzo => 0.0,
-            Predictor::Mean(_) => 64.0,
-            Predictor::Linear { .. } => 128.0,
-        };
-        let c = cost(&codes) + coeff_bits;
-        if best.as_ref().is_none_or(|(bc, ..)| c < *bc) {
-            best = Some((c, pred, codes, recon));
+    let mut best_cost = f64::INFINITY;
+    let mut best_pred = Predictor::Lorenzo;
+    for pred in [Predictor::Lorenzo, Predictor::Mean(mean), Predictor::Linear { a, b }] {
+        if let Some(c) = spare.quantize(block, pred, prev_recon, delta, best_cost) {
+            best_cost = c;
+            best_pred = pred;
+            std::mem::swap(best, spare);
         }
     }
-    let (_, pred, codes, recon) = best.expect("three candidates evaluated");
-    (pred, codes, recon)
+    best_pred
 }
 
 fn read_bitmap(r: &mut ByteReader<'_>, n: usize, mode: u8) -> Result<Bitset, CodecError> {
@@ -254,8 +288,10 @@ fn compress_impl(
     let mut unpredictable: Vec<f64> = Vec::new();
     let mut prev_recon: Option<f64> = None;
     let mut recon_logs: Vec<f64> = Vec::with_capacity(logs.len());
+    let (mut best, mut spare) = (Quantized::default(), Quantized::default());
     for block in logs.chunks(BLOCK_SIZE) {
-        let (pred, codes, recon) = select_predictor(block, prev_recon, delta);
+        let pred = select_predictor(block, prev_recon, delta, &mut best, &mut spare);
+        let Quantized { codes, recon } = &best;
         block_meta.push(pred.tag());
         match pred {
             Predictor::Lorenzo => {}
@@ -265,7 +301,7 @@ fn compress_impl(
                 block_meta.extend_from_slice(&b.to_le_bytes());
             }
         }
-        for (c, (&t, &r)) in codes.iter().zip(block.iter().zip(&recon)) {
+        for (c, (&t, &r)) in codes.iter().zip(block.iter().zip(recon)) {
             if c.is_none() {
                 // Bitwise so a NaN escape (NaN != NaN) doesn't trip it.
                 debug_assert_eq!(t.to_bits(), r.to_bits());
@@ -273,8 +309,8 @@ fn compress_impl(
             }
         }
         prev_recon = recon.last().copied().or(prev_recon);
-        all_codes.extend_from_slice(&codes);
-        recon_logs.extend_from_slice(&recon);
+        all_codes.extend_from_slice(codes);
+        recon_logs.extend_from_slice(recon);
     }
 
     let num_blocks = logs.len().div_ceil(BLOCK_SIZE);

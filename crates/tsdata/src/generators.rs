@@ -8,7 +8,7 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use crate::stats::{percentile, summarize};
+use crate::stats::{mean, percentile};
 
 /// One additive component of a synthetic signal.
 #[derive(Debug, Clone)]
@@ -197,7 +197,7 @@ pub fn calibrate(values: &mut [f64], target: CalibrationTarget) {
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in generated signal"));
     let q1 = percentile(&sorted, 0.25);
     let q3 = percentile(&sorted, 0.75);
-    let m = summarize(values).mean;
+    let m = mean(values);
     let iqr = q3 - q1;
     let target_iqr = target.q3 - target.q1;
     let scale = if iqr.abs() < 1e-12 { 1.0 } else { target_iqr / iqr };
