@@ -197,11 +197,14 @@ pub const ERROR_BOUNDS: [f64; 13] =
     [0.01, 0.03, 0.05, 0.07, 0.1, 0.15, 0.2, 0.25, 0.3, 0.4, 0.5, 0.65, 0.8];
 
 /// Checks the PEBLC guarantee between an original and decompressed series:
-/// returns the index of the first violating point, if any. `slack` absorbs
-/// floating-point rounding. An `f32`-rounding allowance proportional to
-/// `|v|` is always included because PMC and Swing store coefficients in
-/// single precision, exactly as ModelarDB (the paper's implementation)
-/// does.
+/// returns the index of the first violating point, if any.
+///
+/// A pair with a non-finite side is judged exactly: NaN must decode to NaN,
+/// ±inf to the same ±inf, and a finite value that decodes to ±inf or NaN is
+/// a violation. Between two finite values, `slack` absorbs floating-point
+/// rounding, and an `f32`-rounding allowance proportional to `|v|` is
+/// always included because PMC and Swing store coefficients in single
+/// precision, exactly as ModelarDB (the paper's implementation) does.
 pub fn find_bound_violation(
     original: &[f64],
     decompressed: &[f64],
@@ -209,6 +212,9 @@ pub fn find_bound_violation(
     slack: f64,
 ) -> Option<usize> {
     original.iter().zip(decompressed).position(|(&v, &d)| {
+        if !(v.is_finite() && d.is_finite()) {
+            return !(v == d || (v.is_nan() && d.is_nan()));
+        }
         let f32_allowance = 4.0 * f32::EPSILON as f64 * v.abs().max(d.abs());
         (d - v).abs() > point_bound(v, epsilon) + slack + f32_allowance
     })
@@ -255,6 +261,20 @@ mod tests {
         assert_eq!(find_bound_violation(&orig, &ok, 0.1, 1e-9), None);
         let bad = [10.5, 17.0, 31.0];
         assert_eq!(find_bound_violation(&orig, &bad, 0.1, 1e-9), Some(1));
+    }
+
+    #[test]
+    fn violation_finder_judges_non_finite_points_exactly() {
+        let (inf, nan) = (f64::INFINITY, f64::NAN);
+        let violates = |v: f64, d: f64| find_bound_violation(&[v], &[d], 0.8, 1e-9) == Some(0);
+        assert!(violates(1.0, inf));
+        assert!(violates(f64::MAX, inf));
+        assert!(violates(1.0, nan));
+        assert!(violates(nan, 1.0));
+        assert!(violates(inf, -inf));
+        assert!(!violates(nan, nan));
+        assert!(!violates(inf, inf));
+        assert!(!violates(-inf, -inf));
     }
 
     #[test]

@@ -5,12 +5,15 @@
 //! `(dataset, subset, method, ε)`. Without sharing, every task re-compresses
 //! and re-decompresses the same test subset — `models × seeds` redundant
 //! codec passes per cell, which dominates grid wall-clock for the cheap
-//! models. [`TransformCache`] memoizes each transform exactly once behind a
-//! `parking_lot` lock, and [`DatasetCache`] does the same for generated
-//! datasets (series, split, and raw compressed size), so the compression
-//! grid, the Gorilla baseline, and both forecast grids can share one
-//! generation pass. [`GridContext`] bundles both caches with the grid
-//! configuration and is the handle every engine task runs against.
+//! models. [`TransformCache`] memoizes each split-subset transform exactly
+//! once behind a `parking_lot` lock, and [`DatasetCache`] does the same for
+//! generated datasets (series, split, and raw compressed size), so the
+//! compression grid, the Gorilla baseline, and both forecast grids can share
+//! one generation pass. Full-series transforms are not memoized: each
+//! compression or characteristics cell reads its key once, so a cached
+//! copy would only hold memory (see [`GridContext::transform`]).
+//! [`GridContext`] bundles both caches with the grid configuration and is
+//! the handle every engine task runs against.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -78,8 +81,10 @@ pub struct FrameStats {
     pub num_segments: usize,
 }
 
-/// One memoized transform: the decompressed series plus the compressed
-/// frame's statistics.
+/// One transform's result: the decompressed series plus the compressed
+/// frame's statistics. Split-subset transforms are shared through
+/// [`TransformCache`]; a [`Subset::Full`] transform is owned by its caller
+/// alone.
 #[derive(Debug, Clone)]
 pub struct CachedTransform {
     /// The decompressed (error-bounded) series, all channels transformed.
@@ -112,6 +117,22 @@ pub fn transform_with_stats(
         Ok::<_, ScenarioError>(d)
     })?;
     Ok((out, stats))
+}
+
+/// Runs one transform computation, observing its duration as
+/// `transform_compute_seconds{method}`.
+fn compute_timed<F>(method: Method, compute: F) -> Result<Arc<CachedTransform>, ScenarioError>
+where
+    F: FnOnce() -> Result<(MultiSeries, FrameStats), ScenarioError>,
+{
+    let start = std::time::Instant::now();
+    let (series, stats) = compute()?;
+    telemetry::observe(
+        "transform_compute_seconds",
+        &[("method", method.name())],
+        telemetry::secs(start.elapsed()),
+    );
+    Ok(Arc::new(CachedTransform { series: Arc::new(series), stats }))
 }
 
 /// A lazily filled, exactly-once slot. The outer map is read-locked on the
@@ -165,14 +186,7 @@ impl TransformCache {
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         telemetry::counter_add("transform_cache_misses_total", &[], 1);
-        let start = std::time::Instant::now();
-        let (series, stats) = compute()?;
-        telemetry::observe(
-            "transform_compute_seconds",
-            &[("method", key.method.name())],
-            telemetry::secs(start.elapsed()),
-        );
-        let cached = Arc::new(CachedTransform { series: Arc::new(series), stats });
+        let cached = compute_timed(key.method, compute)?;
         *guard = Some(cached.clone());
         Ok(cached)
     }
@@ -417,10 +431,19 @@ impl GridContext {
         })
     }
 
-    /// The transform `T(subset | method, ε)` for a dataset, computed at
-    /// most once per key. [`Subset::Full`] transforms the target channel
-    /// of the whole series (the compression grid's measurement); the
-    /// split subsets transform every channel (the forecast scenarios').
+    /// The transform `T(subset | method, ε)` for a dataset.
+    /// [`Subset::Full`] transforms the target channel of the whole series
+    /// (the compression grid's measurement); the split subsets transform
+    /// every channel (the forecast scenarios').
+    ///
+    /// Only the split subsets are memoized, at most one computation per key:
+    /// every `(model, seed)` task of a dataset scores against the same
+    /// train/val/test transforms. A full-series transform runs on every call
+    /// and never enters [`TransformCache`]. The compression and
+    /// characteristics grids ask for each full-series key once per context,
+    /// so no work repeats, and keeping the 234 decoded series of the
+    /// paper-length compression grid would hold about 283 MB that nothing
+    /// reads again.
     pub fn transform(
         &self,
         dataset: DatasetKind,
@@ -429,8 +452,7 @@ impl GridContext {
         epsilon: f64,
     ) -> Result<Arc<CachedTransform>, ScenarioError> {
         let ds = self.try_dataset(dataset)?;
-        let key = TransformKey::new(dataset, subset, method, epsilon);
-        self.transforms.get_or_compute(key, || {
+        let compute = || {
             let uni;
             let data: &MultiSeries = match subset {
                 Subset::Full => {
@@ -448,7 +470,13 @@ impl GridContext {
                 }
                 None => transform_with_stats(data, method.compressor().as_ref(), epsilon),
             }
-        })
+        };
+        match subset {
+            Subset::Full => compute_timed(method, compute),
+            Subset::Train | Subset::Val | Subset::Test => self
+                .transforms
+                .get_or_compute(TransformKey::new(dataset, subset, method, epsilon), compute),
+        }
     }
 }
 
@@ -558,10 +586,15 @@ mod tests {
         let direct =
             transform_series(&a.split.test, Method::Pmc.compressor().as_ref(), 0.1).unwrap();
         assert_eq!(t1.series.target().values(), direct.target().values());
-        // Full-series transform is a different key with its own entry.
+        // Full-series transforms are computed per call and never cached.
         let full = ctx.transform(DatasetKind::ETTm1, Subset::Full, Method::Pmc, 0.1).unwrap();
+        let again = ctx.transform(DatasetKind::ETTm1, Subset::Full, Method::Pmc, 0.1).unwrap();
         assert_eq!(full.series.len(), a.series.len());
-        assert_eq!(ctx.transforms.misses(), 2);
+        assert!(!Arc::ptr_eq(&full.series, &again.series));
+        assert_eq!(full.series.target().values(), again.series.target().values());
+        assert_eq!(full.stats, again.stats);
+        assert_eq!(ctx.transforms.misses(), 1);
+        assert_eq!(ctx.transforms.len(), 1);
     }
 
     #[test]

@@ -58,9 +58,10 @@ pub struct CharacteristicsExperiment {
 }
 
 /// A per-(dataset, method, ε) cell scheduled on the task engine: the
-/// decompressed series comes from the shared [`GridContext`] transform
-/// cache and its characteristics are diffed against the pre-extracted
-/// original feature vector.
+/// decompressed series is the full-series [`GridContext::transform`],
+/// which each cell asks for once and which is not memoized, and its
+/// characteristics are diffed against the pre-extracted original feature
+/// vector.
 struct CellTask<'a> {
     dataset: DatasetKind,
     method: Method,

@@ -31,9 +31,10 @@ pub struct ForecastExperiment {
 }
 
 /// Runs both grids through one [`Engine`] over a shared [`GridContext`]
-/// (datasets are generated once, transforms memoized across tasks) and
-/// averages forecast metrics over seeds. Failed tasks are collected into
-/// [`ForecastExperiment::failures`] rather than aborting the run.
+/// (datasets are generated once, split-subset transforms memoized across
+/// tasks) and averages forecast metrics over seeds. Failed tasks are
+/// collected into [`ForecastExperiment::failures`] rather than aborting
+/// the run.
 pub fn run(config: &GridConfig) -> ForecastExperiment {
     let _span = telemetry::span("experiment.forecasting", &[]);
     let ctx = GridContext::new(config.clone());

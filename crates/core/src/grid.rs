@@ -5,10 +5,10 @@
 //! A grid runs through one entry point per operation:
 //! `Engine::new(&GridContext::new(config)).{compression,gorilla,forecast,retrain}_report()`
 //! ([`crate::engine::Engine`]). The [`crate::cache::GridContext`] caches
-//! share dataset generation and `(dataset, subset, method, ε)` transforms
-//! across tasks — and across grids, when several reports run on the same
-//! context. Every report returns its records together with the
-//! structured per-task failures.
+//! share dataset generation and the split-subset
+//! `(dataset, subset, method, ε)` transforms across tasks — and across
+//! grids, when several reports run on the same context. Every report
+//! returns its records together with the structured per-task failures.
 
 use compression::{Method, ALL_METHODS, ERROR_BOUNDS};
 use forecast::model::{ModelKind, ALL_MODELS};
@@ -28,7 +28,9 @@ pub struct GridConfig {
     pub datasets: Vec<DatasetKind>,
     /// Dataset length override (`None` = paper lengths).
     pub len: Option<usize>,
-    /// Channel override (`None` = reduced defaults).
+    /// Channel override (`None` = the target alone, the only channel any
+    /// model, metric or experiment reads; see
+    /// [`GenOptions::channels`](tsdata::datasets::GenOptions::channels)).
     pub channels: Option<usize>,
     /// Input window length.
     pub input_len: usize,
@@ -253,8 +255,14 @@ mod tests {
     fn compression_grid_covers_cells() {
         let mut cfg = GridConfig::smoke();
         cfg.len = Some(1200);
-        let recs = complete(Engine::new(&GridContext::new(cfg)).compression_report());
+        let ctx = GridContext::new(cfg);
+        let recs = complete(Engine::new(&ctx).compression_report());
         assert_eq!(recs.len(), 3 * 3); // 3 methods x 3 eps
+
+        // Each cell reads its full-series transform once, so none is kept.
+        assert_eq!(ctx.transforms.len(), 0);
+        assert_eq!(ctx.transforms.hits() + ctx.transforms.misses(), 0);
+
         for r in &recs {
             assert!(r.cr > 0.0 && r.cr.is_finite());
             assert!(r.te_nrmse >= 0.0);

@@ -156,28 +156,6 @@ impl DatasetKind {
         86_400.0 / self.paper_stats().interval_s as f64
     }
 
-    /// Channel count used by the paper's source data.
-    pub fn paper_channels(self) -> usize {
-        match self {
-            DatasetKind::ETTm1 | DatasetKind::ETTm2 => 7,
-            DatasetKind::Solar => 137,
-            DatasetKind::Weather => 21,
-            DatasetKind::ElecDem => 1,
-            DatasetKind::Wind => 10,
-        }
-    }
-
-    /// Reduced channel count used by the default (laptop-scale) repro runs.
-    pub fn default_channels(self) -> usize {
-        match self {
-            DatasetKind::ETTm1 | DatasetKind::ETTm2 => 7,
-            DatasetKind::Solar => 8,
-            DatasetKind::Weather => 7,
-            DatasetKind::ElecDem => 1,
-            DatasetKind::Wind => 5,
-        }
-    }
-
     /// Name of the paper's forecasting target variable.
     pub fn target_name(self) -> &'static str {
         match self {
@@ -196,7 +174,11 @@ impl DatasetKind {
 pub struct GenOptions {
     /// Number of points; `None` uses the paper's full length.
     pub len: Option<usize>,
-    /// Number of channels; `None` uses [`DatasetKind::default_channels`].
+    /// Number of channels; `None` generates the target alone. The paper's
+    /// models forecast only the target, so no experiment reads another
+    /// channel. `Some(n)` adds `n - 1` auxiliary channels correlated with
+    /// the target, for tests of the multivariate container; the target's
+    /// values are the same either way.
     pub channels: Option<usize>,
     /// RNG seed; every call with the same options is bit-identical.
     pub seed: u64,
@@ -215,22 +197,24 @@ impl GenOptions {
     }
 }
 
-/// Generates the dataset as a calibrated multivariate series with the target
-/// channel marked.
+/// Generates the dataset as a calibrated series with the target channel
+/// marked: the target alone unless [`GenOptions::channels`] asks for more.
 ///
 /// ```
 /// use tsdata::datasets::{generate, DatasetKind, GenOptions};
 /// let data = generate(DatasetKind::ETTm1, GenOptions::with_len(500));
 /// assert_eq!(data.len(), 500);
+/// assert_eq!(data.num_channels(), 1);
 /// assert_eq!(data.names()[data.target_index()], "OT");
 /// assert_eq!(data.target().interval(), 900); // 15 minutes
 /// ```
 pub fn generate(kind: DatasetKind, opts: GenOptions) -> MultiSeries {
     let stats = kind.paper_stats();
     let n = opts.len.unwrap_or(stats.len).max(8);
-    let channels = opts.channels.unwrap_or_else(|| kind.default_channels()).max(1);
+    let channels = opts.channels.unwrap_or(1).max(1);
     let mut r = rng(opts.seed ^ dataset_salt(kind));
 
+    // The target is drawn first, so auxiliary channels never move its bits.
     let target_values = generate_target(kind, n, &mut r);
     let mut names = vec![kind.target_name().to_string()];
     let mut series = vec![make_series(stats.interval_s, target_values.clone())];
@@ -587,8 +571,11 @@ mod tests {
 
     #[test]
     fn channel_counts_and_target() {
-        let m = generate(DatasetKind::Solar, GenOptions::with_len(300));
-        assert_eq!(m.num_channels(), DatasetKind::Solar.default_channels());
+        let m = generate(
+            DatasetKind::Solar,
+            GenOptions { len: Some(300), channels: Some(8), seed: 0x5EED },
+        );
+        assert_eq!(m.num_channels(), 8);
         assert_eq!(m.names()[0], "PV_000");
         assert_eq!(m.target_index(), 0);
         let m2 = generate(
@@ -608,8 +595,28 @@ mod tests {
     }
 
     #[test]
+    fn default_generates_the_target_alone() {
+        for kind in ALL_DATASETS {
+            let m = generate(kind, GenOptions::with_len(500));
+            assert_eq!(m.num_channels(), 1, "{}", kind.name());
+            assert_eq!(m.names()[0], kind.target_name());
+            let bits = |s: &RegularTimeSeries| -> Vec<u64> {
+                s.values().iter().map(|v| v.to_bits()).collect()
+            };
+            let uni = generate_univariate(kind, GenOptions::with_len(500));
+            assert_eq!(bits(m.target()), bits(&uni), "{}", kind.name());
+            let wide =
+                generate(kind, GenOptions { len: Some(500), channels: Some(7), seed: 0x5EED });
+            assert_eq!(bits(wide.target()), bits(&uni), "{}: aux channels moved it", kind.name());
+        }
+    }
+
+    #[test]
     fn aux_channels_correlate_with_target() {
-        let m = generate(DatasetKind::ETTm1, GenOptions::with_len(4000));
+        let m = generate(
+            DatasetKind::ETTm1,
+            GenOptions { len: Some(4000), channels: Some(7), seed: 0x5EED },
+        );
         let t = m.target().values();
         let aux = m.channels()[1].values();
         let r = crate::metrics::pearson(t, aux);

@@ -35,6 +35,35 @@ fn every_method_respects_bounds_on_every_dataset() {
     }
 }
 
+/// Finite values interleaved with NaN, ±inf, signed zeros and a subnormal
+/// (the input of `tests/streaming_codecs.rs`'s hostile digests).
+fn hostile() -> RegularTimeSeries {
+    let specials = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0, 1e-310];
+    let values =
+        (0..600).map(|i| if i % 37 == 5 { specials[i / 37 % 6] } else { 10.0 + (i % 9) as f64 });
+    RegularTimeSeries::new(0, 60, values.collect()).expect("non-empty")
+}
+
+#[test]
+fn every_codec_keeps_non_finite_points_and_bounds_on_a_hostile_series() {
+    let series = hostile();
+    let mut codecs = all_lossy();
+    codecs.push(Box::new(Gorilla));
+    for codec in &codecs {
+        for eps in [0.0, 0.01, 0.1, 0.8] {
+            let (decompressed, _) = codec
+                .transform(&series, eps)
+                .unwrap_or_else(|e| panic!("{} @ {eps}: {e}", codec.name()));
+            assert_eq!(
+                find_bound_violation(series.values(), decompressed.values(), eps, 1e-9),
+                None,
+                "{} @ {eps}",
+                codec.name()
+            );
+        }
+    }
+}
+
 #[test]
 fn gorilla_is_lossless_on_every_dataset() {
     for dataset in ALL_DATASETS {
