@@ -38,11 +38,10 @@ fn main() {
     };
 
     println!(
-        "EvalImpLSTS reproduction — scale {:?}, dataset length {:?}, {} thread(s), {} shard(s)\n",
+        "EvalImpLSTS reproduction — scale {:?}, dataset length {:?}, {} thread(s)\n",
         cli.scale,
         cfg.len.map_or("paper-full".to_string(), |l| l.to_string()),
-        cfg.threads,
-        if cfg.shards == 0 { "auto".to_string() } else { cfg.shards.to_string() }
+        cfg.threads
     );
     if let Some(seed) = cfg.chaos_seed {
         eprintln!(
@@ -144,7 +143,8 @@ fn main() {
                 let ctx = evalcore::GridContext::new(cfg.clone());
                 let engine = evalcore::Engine::new(&ctx).on_task_done(|ev| {
                     // `seq` counts completions (the pace); `coord` names
-                    // the task that just finished (stealing reorders them).
+                    // the task that just finished (workers run concurrently
+                    // and each dataset's first task is dispatched early).
                     eprintln!(
                         "[repro] retrain {}/{} {:?}: {}",
                         ev.seq + 1,

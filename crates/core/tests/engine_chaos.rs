@@ -1,10 +1,10 @@
 //! The deterministic chaos suite: seeded fault schedules (worker kills,
-//! stalls, slow workers, callback panics) injected into the sharded
-//! work-stealing engine must never change what a run produces — outcome
-//! vectors and failure coordinates stay byte-identical to a clean
-//! single-threaded run, no task is lost, and queue occupancy stays
-//! under the configured bound. The schedules are replayable (Lcg64 by
-//! task index), so every failure here is reproducible from its seed.
+//! stalls, slow workers, callback panics) injected into the engine's
+//! work queue must never change what a run produces — outcome vectors
+//! and failure coordinates stay byte-identical to a clean
+//! single-threaded run, and no task is lost. The schedules are
+//! replayable (Lcg64 by task index), so every failure here is
+//! reproducible from its seed.
 
 use evalcore::results::forecast_csv;
 use evalcore::scenario::ScenarioError;
@@ -14,9 +14,10 @@ use forecast::model::ModelKind;
 use proptest::prelude::*;
 use tsdata::datasets::{DatasetKind, ALL_DATASETS};
 
-/// A cheap deterministic task whose coordinates cycle through all
-/// datasets (so shard keys vary) and whose behaviour is scripted by
-/// index: most succeed, some fail, some panic.
+/// A cheap deterministic task whose coordinates walk the datasets in
+/// blocks of 50 indices (so the engine dispatches each block's first
+/// task early and the dispatch order is not the task order) and whose
+/// behaviour is scripted by index: most succeed, some fail, some panic.
 struct CheapTask {
     index: usize,
 }
@@ -33,7 +34,7 @@ impl GridTask for CheapTask {
     fn coord(&self) -> TaskCoord {
         TaskCoord {
             seed: Some(self.index as u64),
-            ..TaskCoord::dataset(ALL_DATASETS[self.index % ALL_DATASETS.len()])
+            ..TaskCoord::dataset(ALL_DATASETS[(self.index / 50) % ALL_DATASETS.len()])
         }
     }
 
@@ -70,27 +71,23 @@ fn seeded_schedule_sweep_preserves_outcomes_and_loses_no_tasks() {
     const N: usize = 300;
     let ctx = cheap_ctx();
     let tasks = CheapTask::many(N);
-    let clean = outcome_strings(&Engine::new(&ctx).threads(1).shards(1).run(&tasks));
+    let clean = outcome_strings(&Engine::new(&ctx).threads(1).run(&tasks));
 
     let mut total_events = 0usize;
     let mut total_kills = 0u64;
     for seed in [0xC4A05u64, 7, 2024, 0xDEAD_BEEF] {
-        for (threads, shards) in [(2, 2), (4, 3), (8, 8)] {
+        for threads in [2, 4, 8] {
             let schedule = ChaosSchedule::seeded(seed, N, 30);
             total_events += schedule.len();
-            let (outcomes, stats) = Engine::new(&ctx)
-                .threads(threads)
-                .shards(shards)
-                .chaos_schedule(schedule)
-                .run_with_stats(&tasks);
-            assert_eq!(outcomes.len(), N, "zero lost tasks (seed {seed}, {threads}t/{shards}s)");
+            let (outcomes, stats) =
+                Engine::new(&ctx).threads(threads).chaos_schedule(schedule).run_with_stats(&tasks);
+            assert_eq!(outcomes.len(), N, "zero lost tasks (seed {seed}, {threads} threads)");
             assert_eq!(
                 outcome_strings(&outcomes),
                 clean,
                 "chaos run must be byte-identical to the clean run \
-                 (seed {seed}, {threads} threads, {shards} shards)"
+                 (seed {seed}, {threads} threads)"
             );
-            assert_eq!(stats.requeued, stats.worker_deaths, "every killed task was requeued");
             total_kills += stats.worker_deaths;
         }
     }
@@ -124,7 +121,7 @@ fn every_chaos_event_kind_leaves_a_real_grid_csv_byte_identical() {
         (3, ChaosEvent::CallbackPanic),
     ]);
     let ctx = GridContext::new(cfg.clone());
-    let engine = Engine::new(&ctx).threads(4).shards(3).chaos_schedule(schedule);
+    let engine = Engine::new(&ctx).threads(4).chaos_schedule(schedule);
     let (outcomes, stats) = engine.run_with_stats(&tasks);
     assert!(outcomes.iter().all(|o| o.is_ok()), "chaos must not fail grid tasks");
     assert_eq!(stats.worker_deaths, 1);
@@ -139,7 +136,7 @@ fn config_chaos_seed_threads_through_engine_new() {
     // the engine and still produce identical outputs.
     let ctx = cheap_ctx();
     let tasks = CheapTask::many(80);
-    let clean = outcome_strings(&Engine::new(&ctx).threads(1).shards(1).run(&tasks));
+    let clean = outcome_strings(&Engine::new(&ctx).threads(1).run(&tasks));
     let mut cfg = GridConfig::smoke();
     cfg.chaos_seed = Some(41);
     cfg.threads = 4;
@@ -149,37 +146,11 @@ fn config_chaos_seed_threads_through_engine_new() {
     assert_eq!(outcome_strings(&outcomes), clean);
 }
 
-#[test]
-fn slow_worker_schedule_keeps_queue_occupancy_bounded() {
-    // Every fourth task slows its worker, so the submitter outruns the
-    // pool and leans on backpressure: peak occupancy must stay under
-    // shards × capacity while every task still runs.
-    const N: usize = 200;
-    let ctx = cheap_ctx();
-    let tasks = CheapTask::many(N);
-    let schedule = ChaosSchedule::scripted((0..N).step_by(4).map(|i| (i, ChaosEvent::SlowMs(1))));
-    let (shards, capacity) = (2, 4);
-    let (outcomes, stats) = Engine::new(&ctx)
-        .threads(2)
-        .shards(shards)
-        .queue_capacity(capacity)
-        .chaos_schedule(schedule)
-        .run_with_stats(&tasks);
-    assert_eq!(outcomes.len(), N);
-    assert!(
-        stats.peak_queue_depth <= shards * capacity,
-        "peak occupancy {} exceeds the bound {}",
-        stats.peak_queue_depth,
-        shards * capacity
-    );
-    assert!(stats.peak_queue_depth >= 1, "the sampled peak must observe queued work");
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Same chaos seed ⇒ identical outcome vector and identical failure
-    /// coordinates, across 1/2/8 threads and several shard counts.
+    /// coordinates, across 1, 2 and 8 threads.
     #[test]
     fn chaos_runs_are_deterministic_across_geometries(
         seed in any::<u64>(),
@@ -189,10 +160,9 @@ proptest! {
         let ctx = cheap_ctx();
         let tasks = CheapTask::many(N);
         let mut reference: Option<(Vec<String>, Vec<String>)> = None;
-        for (threads, shards) in [(1usize, 1usize), (2, 3), (8, 4)] {
+        for threads in [1, 2, 8] {
             let (outcomes, _) = Engine::new(&ctx)
                 .threads(threads)
-                .shards(shards)
                 .chaos_schedule(ChaosSchedule::seeded(seed, N, intensity))
                 .run_with_stats(&tasks);
             prop_assert_eq!(outcomes.len(), N);
