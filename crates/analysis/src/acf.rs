@@ -88,17 +88,6 @@ pub fn first_zero_acf(x: &[f64], max_lag: usize) -> usize {
     r.iter().position(|&v| v <= 0.0).map_or(max_lag, |i| i + 1)
 }
 
-/// Index (lag) of the first local minimum of the ACF; `max_lag` if none.
-pub fn first_min_acf(x: &[f64], max_lag: usize) -> usize {
-    let r = acf(x, max_lag);
-    for i in 1..r.len().saturating_sub(1) {
-        if r[i] < r[i - 1] && r[i] < r[i + 1] {
-            return i + 1;
-        }
-    }
-    max_lag
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,14 +155,12 @@ mod tests {
     }
 
     #[test]
-    fn first_zero_and_min() {
-        // Sine with period 20: ACF crosses zero around lag 5, min near 10.
+    fn first_zero_crossing() {
+        // Sine with period 20: ACF crosses zero around lag 5.
         let x: Vec<f64> =
             (0..2000).map(|i| (i as f64 / 20.0 * std::f64::consts::TAU).sin()).collect();
         let z = first_zero_acf(&x, 30);
         assert!((4..=7).contains(&z), "first zero at {z}");
-        let m = first_min_acf(&x, 30);
-        assert!((8..=12).contains(&m), "first min at {m}");
     }
 
     #[test]

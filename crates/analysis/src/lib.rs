@@ -16,7 +16,6 @@ pub mod decomp;
 pub mod features;
 pub mod holt;
 pub mod kneedle;
-pub mod monitor;
 pub mod regress;
 pub mod rolling;
 pub mod shap;
@@ -26,6 +25,5 @@ pub mod unitroot;
 pub use correlation::spearman;
 pub use features::{extract, FeatureOptions, FeatureVector, FEATURE_NAMES, NUM_FEATURES};
 pub use kneedle::{kneedle, Shape};
-pub use monitor::{Alert, CharacteristicsMonitor, MonitorConfig, Severity};
 pub use regress::{linear_fit, LinFit};
 pub use shap::{gbm_shap, mean_abs_shap, tree_shap};

@@ -50,10 +50,7 @@ fn main() {
         );
     }
     if let Some(dir) = &cli.artifacts {
-        eprintln!(
-            "[repro] artifact store: {dir}{}",
-            if cli.resume { " (resuming: stored fits are reused)" } else { "" }
-        );
+        eprintln!("[repro] artifact store: {dir} (stored fits are reused)");
     }
     if cli.store {
         eprintln!("[repro] store-backed: transforms stream from the chunked store");

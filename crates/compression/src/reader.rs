@@ -3,7 +3,7 @@
 //!
 //! All decoders in this crate — and the binary formats built on top of it
 //! (`evalcore::artifact`, `forecast` state snapshots) — consume untrusted
-//! bytes: compressed frames read back from disk under `--resume`, network
+//! bytes: compressed frames and model artifacts read back from disk, network
 //! payloads in a production deployment, or deliberately mutated buffers in
 //! the fuzz harness (`tests/fuzz_decode.rs`). [`ByteReader`] makes those
 //! paths *total*: every read is bounds-checked up front and returns

@@ -1,5 +1,6 @@
 //! Versioned, checksummed model artifacts and the content-addressed
-//! on-disk store behind `repro --artifacts` / `--resume`.
+//! on-disk store behind `repro --artifacts`: a later run with the same
+//! configuration loads each stored fit instead of refitting it.
 //!
 //! A fitted model's [`StateDict`] (named f64 tensors, see
 //! `forecast::Forecaster::save_state`) is serialized to a self-describing

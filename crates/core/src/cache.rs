@@ -336,11 +336,6 @@ impl GridContext {
         self.store.as_ref()
     }
 
-    /// The artifact store, when the configuration enabled one.
-    pub fn artifact_store(&self) -> Option<&ArtifactStore> {
-        self.artifacts.as_ref()
-    }
-
     /// `(loaded, fitted)` model counts across every task run against this
     /// context — the numbers behind the repro CLI's
     /// `loaded=N fitted=M` log line. A resumed run reports `fitted=0`.

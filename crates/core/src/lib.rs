@@ -6,14 +6,13 @@
 //! the grid configuration over compressors × error bounds × models ×
 //! datasets ([`grid`]), the shared transform/dataset caches behind it
 //! ([`cache`]), the versioned model-artifact format and checkpoint store
-//! behind `--resume` ([`artifact`]), result bookkeeping including
+//! behind `--artifacts` ([`artifact`]), result bookkeeping including
 //! partial-failure summaries ([`results`]) and the per-table/figure
 //! experiment reproductions ([`experiments`]). Store-backed runs route every
 //! transform through the chunked store ([`storeback`], DESIGN.md §12).
 //! The engine's workers claim tasks from one shared work queue, with
 //! deterministic chaos injection ([`sched`], DESIGN.md §15).
 
-pub mod advisor;
 pub mod artifact;
 pub mod cache;
 pub mod engine;
@@ -24,7 +23,6 @@ pub mod scenario;
 pub mod sched;
 pub mod storeback;
 
-pub use advisor::{CompressionAdvisor, Recommendation};
 pub use artifact::{decode_state, encode_state, ArtifactError, ArtifactKey, ArtifactStore};
 pub use cache::{GridContext, Subset, TransformCache, TransformKey};
 pub use engine::{

@@ -21,7 +21,6 @@ pub mod arima;
 pub mod batch;
 pub mod deep;
 pub mod dlinear;
-pub mod ensemble;
 pub mod gboost;
 pub mod gru;
 pub mod informer;
@@ -35,7 +34,6 @@ pub mod tree;
 
 pub use arima::{Arima, ArimaConfig};
 pub use dlinear::{DLinear, DLinearConfig};
-pub use ensemble::{Combine, Ensemble};
 pub use gboost::{GBoost, GBoostConfig, GbmConfig, GbmRegressor};
 pub use gru::{Gru, GruConfig};
 pub use model::{ForecastError, Forecaster, ModelKind, ALL_MODELS};

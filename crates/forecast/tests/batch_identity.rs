@@ -1,13 +1,12 @@
 //! Property tests for the matrix-in/matrix-out inference path: for every
-//! one of the paper's seven models (plus the ensemble), `predict_batch`
-//! over a random batch of windows must be bitwise equal to looping
-//! `predict` over the same windows — including batches of one and counts
-//! that leave ragged chunks at any staging granularity.
+//! one of the paper's seven models, `predict_batch` over a random batch of
+//! windows must be bitwise equal to looping `predict` over the same
+//! windows — including batches of one and counts that leave ragged chunks
+//! at any staging granularity.
 //!
 //! This is the contract `evalcore::scenario::score_windows` relies on to
 //! keep batched grid metrics bitwise equal to a per-window `predict` loop.
 
-use forecast::ensemble::{Combine, Ensemble};
 use forecast::model::{ForecastError, Forecaster, ModelKind};
 use forecast::{build_model, BuildOptions};
 use neural::tensor::Tensor;
@@ -102,28 +101,6 @@ batch_props! {
     transformer_batch_matches_per_window => ModelKind::Transformer,
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(2))]
-
-    /// The ensemble combines member batches in the same order and with the
-    /// same accumulation as its per-window path.
-    #[test]
-    fn ensemble_batch_matches_per_window(seed in 0u64..1_000, n in 1usize..6) {
-        let data = tiny_series(seed);
-        let s = split(&data, SplitSpec::default()).expect("splits");
-        let mut ens = Ensemble::new(
-            vec![
-                build_model(ModelKind::Arima, tiny_options(seed)),
-                build_model(ModelKind::DLinear, tiny_options(seed)),
-            ],
-            Combine::InverseValidationError,
-        );
-        ens.fit(&s.train, &s.val).expect("ensemble fits");
-        let windows = sample_windows(s.test.target().values(), n, 5);
-        assert_batch_identity(&ens, &windows);
-    }
-}
-
 /// Batch of one must work: the batched path may never assume n > 1.
 #[test]
 fn single_window_batches_work() {
@@ -160,30 +137,20 @@ fn batch_validation_errors() {
     assert_eq!(empty.shape(), (0, HORIZON));
 }
 
-/// Ensemble degenerate inputs: an empty batch is well-formed (`[0, h]`
-/// out, no member ever sees a zero-row stage), a batch of exactly one
-/// window works, and a count that leaves a ragged tail of one past the
-/// deep members' staging granularity stays bit-identical to the
-/// per-window oracle.
+/// Deep-model degenerate batches: an empty batch is well-formed (`[0, h]`
+/// out), and 9 windows — one full sub-batch of 8 plus a ragged tail of one
+/// at the deep path's staging granularity, a count `batch_props` never
+/// draws — stay bit-identical to the per-window oracle.
 #[test]
-fn ensemble_degenerate_batches() {
+fn deep_degenerate_batches() {
     let data = tiny_series(11);
     let s = split(&data, SplitSpec::default()).expect("splits");
-    let mut ens = Ensemble::new(
-        vec![
-            build_model(ModelKind::Gru, tiny_options(2)),
-            build_model(ModelKind::DLinear, tiny_options(2)),
-        ],
-        Combine::Mean,
-    );
-    ens.fit(&s.train, &s.val).expect("ensemble fits");
-
-    let empty = ens.predict_batch(&Tensor::zeros(0, INPUT_LEN)).expect("empty batch is fine");
-    assert_eq!(empty.shape(), (0, HORIZON));
-
-    // 9 windows: one full sub-batch of 8 plus a ragged tail of 1 at the
-    // deep path's staging granularity.
     let windows = sample_windows(s.test.target().values(), 9, 3);
-    assert_batch_identity(&ens, &windows);
-    assert_batch_identity(&ens, &windows[..1]);
+    for kind in [ModelKind::Gru, ModelKind::DLinear] {
+        let mut model = build_model(kind, tiny_options(2));
+        model.fit(&s.train, &s.val).expect("fits");
+        let empty = model.predict_batch(&Tensor::zeros(0, INPUT_LEN)).expect("empty batch is fine");
+        assert_eq!(empty.shape(), (0, HORIZON), "{}", model.name());
+        assert_batch_identity(model.as_ref(), &windows);
+    }
 }

@@ -351,28 +351,6 @@ impl Graph {
         self.push(v, Op::VStack(a, b))
     }
 
-    /// Row concatenation of many nodes, reduced as a balanced tree.
-    ///
-    /// Concatenation is associative, so the result is elementwise identical
-    /// to a left-to-right [`Graph::vstack`] fold — but the tree keeps the
-    /// copied bytes at `O(total · log n)` instead of `O(total · n)`, which
-    /// matters when batched inference stacks per-sample attention outputs.
-    ///
-    /// # Panics
-    /// Panics on an empty node list.
-    pub fn vstack_all(&mut self, nodes: &[NodeId]) -> NodeId {
-        assert!(!nodes.is_empty(), "vstack_all of no nodes");
-        let mut level = nodes.to_vec();
-        while level.len() > 1 {
-            let mut next = Vec::with_capacity(level.len().div_ceil(2));
-            for pair in level.chunks(2) {
-                next.push(if pair.len() == 2 { self.vstack(pair[0], pair[1]) } else { pair[0] });
-            }
-            level = next;
-        }
-        level[0]
-    }
-
     /// Per-sample block products `C_i = A_i · B_iᵀ` for batched attention
     /// scores: `a` stacks `n` row-blocks `[la, k]`, `b` stacks `n`
     /// row-blocks `[lb, k]`, and the result stacks the `n` `[la, lb]`

@@ -1,12 +1,11 @@
-//! Exporters: Prometheus text format, Chrome trace-event JSON, and a
-//! JSON run report.
+//! Exporters: Prometheus text format and Chrome trace-event JSON.
 //!
-//! All three are pure functions over snapshots ([`MetricSnapshot`],
+//! Both are pure functions over snapshots ([`MetricSnapshot`],
 //! [`SpanRecord`]) so they are trivially testable and never hold any
 //! telemetry lock while formatting.
 
 use crate::metrics::{MetricSnapshot, MetricValue};
-use crate::span::{aggregate, SpanRecord};
+use crate::span::SpanRecord;
 
 /// Escapes a Prometheus label value (`\` → `\\`, `"` → `\"`, newline →
 /// `\n`).
@@ -134,16 +133,6 @@ fn json_escape(value: &str) -> String {
     out
 }
 
-/// Formats an `f64` as a JSON number (non-finite values become `null`,
-/// which strict JSON requires).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
 fn json_labels_object(labels: &[(String, String)]) -> String {
     let fields: Vec<String> = labels
         .iter()
@@ -172,71 +161,6 @@ pub fn chrome_trace(records: &[SpanRecord]) -> String {
         ));
     }
     format!("{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[{}]}}\n", events.join(","))
-}
-
-/// Renders the JSON run report: every metric value plus per-span-name
-/// aggregates and the `top_n` slowest individual spans overall. This is
-/// the machine-readable sibling of the repro binary's end-of-run summary
-/// table.
-pub fn run_report(snapshots: &[MetricSnapshot], records: &[SpanRecord], top_n: usize) -> String {
-    let mut metrics = Vec::with_capacity(snapshots.len());
-    for s in snapshots {
-        let labels = json_labels_object(&s.labels);
-        let body = match &s.value {
-            MetricValue::Counter(v) => format!("\"type\":\"counter\",\"value\":{v}"),
-            MetricValue::Gauge(v) => format!("\"type\":\"gauge\",\"value\":{}", json_f64(*v)),
-            MetricValue::Histogram { bounds, counts, count, sum } => {
-                let bounds: Vec<String> = bounds.iter().map(|b| json_f64(*b)).collect();
-                let counts: Vec<String> = counts.iter().map(|c| c.to_string()).collect();
-                format!(
-                    "\"type\":\"histogram\",\"count\":{count},\"sum\":{},\
-                     \"bounds\":[{}],\"bucket_counts\":[{}]",
-                    json_f64(*sum),
-                    bounds.join(","),
-                    counts.join(",")
-                )
-            }
-        };
-        metrics.push(format!("{{\"name\":\"{}\",\"labels\":{labels},{body}}}", s.name));
-    }
-
-    let aggregates: Vec<String> = aggregate(records)
-        .iter()
-        .map(|a| {
-            format!(
-                "{{\"name\":\"{}\",\"count\":{},\"total_us\":{},\"max_us\":{}}}",
-                json_escape(a.name),
-                a.count,
-                a.total_us,
-                a.max_us
-            )
-        })
-        .collect();
-
-    let mut slowest: Vec<&SpanRecord> = records.iter().collect();
-    slowest.sort_by_key(|r| std::cmp::Reverse(r.dur_us));
-    slowest.truncate(top_n);
-    let slowest: Vec<String> = slowest
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"name\":\"{}\",\"labels\":{},\"dur_us\":{},\"start_us\":{},\"tid\":{}}}",
-                json_escape(r.name),
-                json_labels_object(&r.labels),
-                r.dur_us,
-                r.start_us,
-                r.tid
-            )
-        })
-        .collect();
-
-    format!(
-        "{{\"metrics\":[{}],\"span_totals\":[{}],\"slowest_spans\":[{}],\"span_count\":{}}}\n",
-        metrics.join(","),
-        aggregates.join(","),
-        slowest.join(","),
-        records.len()
-    )
 }
 
 #[cfg(test)]
@@ -313,25 +237,9 @@ mod tests {
     }
 
     #[test]
-    fn run_report_carries_metrics_spans_and_slowest() {
-        let report = run_report(&sample_snapshots(), &sample_records(), 1);
-        assert!(report.contains("\"name\":\"tasks_total\""), "{report}");
-        assert!(report.contains("\"type\":\"histogram\""), "{report}");
-        assert!(report.contains("\"span_totals\""), "{report}");
-        assert!(report.contains("\"span_count\":2"), "{report}");
-        // top_n = 1 keeps only the 500us span in slowest_spans.
-        let slowest = report.split("\"slowest_spans\":").nth(1).unwrap();
-        assert!(slowest.contains("\"dur_us\":500"), "{report}");
-        assert!(!slowest.contains("\"dur_us\":400"), "{report}");
-    }
-
-    #[test]
     fn empty_inputs_render_valid_documents() {
         assert_eq!(prometheus(&[]), "");
         let trace = chrome_trace(&[]);
         assert!(trace.contains("\"traceEvents\":[]"));
-        let report = run_report(&[], &[], 10);
-        assert!(report.contains("\"metrics\":[]"));
-        assert!(report.contains("\"span_count\":0"));
     }
 }

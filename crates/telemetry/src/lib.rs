@@ -9,9 +9,8 @@
 //! * **structured spans** ([`mod@span`]) — RAII timers on monotonic clocks
 //!   with per-thread parent linkage, buffered per thread and drained into
 //!   a global sink;
-//! * **exporters** ([`export`]) — Prometheus text exposition, Chrome
-//!   trace-event JSON (opens directly in `about:tracing` / Perfetto), and
-//!   a JSON run report.
+//! * **exporters** ([`export`]) — Prometheus text exposition and Chrome
+//!   trace-event JSON (opens directly in `about:tracing` / Perfetto).
 //!
 //! ## The global handle and the off switch
 //!
@@ -42,7 +41,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
 pub use metrics::{MetricSnapshot, MetricValue, MetricsRegistry, LATENCY_BUCKETS};
-pub use span::{aggregate, slowest, Span, SpanAggregate, SpanRecord, SpanSink};
+pub use span::{slowest, Span, SpanRecord, SpanSink};
 
 /// The process-global enabled flag. Relaxed ordering is deliberate:
 /// enabling mid-run only needs to become visible eventually, and the

@@ -234,41 +234,6 @@ impl Drop for Span {
     }
 }
 
-/// Per-name aggregate over a set of span records, for run summaries.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpanAggregate {
-    /// Span name.
-    pub name: &'static str,
-    /// Number of spans with this name.
-    pub count: u64,
-    /// Total duration in microseconds.
-    pub total_us: u64,
-    /// Longest single span in microseconds.
-    pub max_us: u64,
-}
-
-/// Aggregates records per span name, sorted by descending total time.
-pub fn aggregate(records: &[SpanRecord]) -> Vec<SpanAggregate> {
-    let mut by_name: Vec<SpanAggregate> = Vec::new();
-    for r in records {
-        match by_name.iter_mut().find(|a| a.name == r.name) {
-            Some(a) => {
-                a.count += 1;
-                a.total_us += r.dur_us;
-                a.max_us = a.max_us.max(r.dur_us);
-            }
-            None => by_name.push(SpanAggregate {
-                name: r.name,
-                count: 1,
-                total_us: r.dur_us,
-                max_us: r.dur_us,
-            }),
-        }
-    }
-    by_name.sort_by_key(|a| std::cmp::Reverse(a.total_us));
-    by_name
-}
-
 /// The `n` slowest individual spans named `name`, slowest first.
 pub fn slowest<'r>(records: &'r [SpanRecord], name: &str, n: usize) -> Vec<&'r SpanRecord> {
     let mut matching: Vec<&SpanRecord> = records.iter().filter(|r| r.name == name).collect();
@@ -282,7 +247,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn aggregate_sums_and_sorts() {
+    fn slowest_filters_by_name_and_sorts() {
         let rec = |name, dur_us| SpanRecord {
             id: 0,
             parent: 0,
@@ -293,10 +258,6 @@ mod tests {
             dur_us,
         };
         let records = vec![rec("a", 10), rec("b", 100), rec("a", 30)];
-        let agg = aggregate(&records);
-        assert_eq!(agg.len(), 2);
-        assert_eq!(agg[0], SpanAggregate { name: "b", count: 1, total_us: 100, max_us: 100 });
-        assert_eq!(agg[1], SpanAggregate { name: "a", count: 2, total_us: 40, max_us: 30 });
         let slow = slowest(&records, "a", 1);
         assert_eq!(slow.len(), 1);
         assert_eq!(slow[0].dur_us, 30);

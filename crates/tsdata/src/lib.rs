@@ -5,8 +5,8 @@
 //! * [`series`] — regular/irregular time series and multivariate bundles
 //!   (paper Definitions 1–5).
 //! * [`stats`] — descriptive statistics (Table 1).
-//! * [`metrics`] — RMSE/NRMSE/RSE/R plus TE, TFE and CR (paper §3.5,
-//!   Definitions 6–9, Eq. 3).
+//! * [`metrics`] — RMSE/NRMSE/RSE/R (the TE and FE distances) plus TFE
+//!   and CR (paper §3.5, Definitions 6–9, Eq. 3).
 //! * [`scaler`] — the standard scaler applied to model inputs (§3.4).
 //! * [`mod@split`] — 70/10/20 chronological splits and sliding windows (§3.6).
 //! * [`generators`] / [`datasets`] — deterministic synthetic recreations of
@@ -23,7 +23,7 @@ pub mod split;
 pub mod stats;
 
 pub use datasets::{generate, generate_univariate, DatasetKind, GenOptions, ALL_DATASETS};
-pub use metrics::{metric_set, Metric, MetricSet};
+pub use metrics::{metric_set, MetricSet};
 pub use scaler::StandardScaler;
 pub use series::{DataPoint, MultiSeries, RegularTimeSeries, SeriesError, TimeSeries};
-pub use split::{split, Split, SplitSpec, Window, DEFAULT_HORIZON, DEFAULT_INPUT_LEN};
+pub use split::{split, Split, SplitSpec, Window};

@@ -1,7 +1,7 @@
-//! Evaluation metrics from §3.5 of the paper: RMSE, NRMSE, RSE, Pearson R,
-//! plus the derived quantities — transformation error (TE, Definition 6),
-//! forecasting error (FE, Definition 8), transformation forecasting error
-//! (TFE, Definition 9) and compression ratio (CR, Eq. 3).
+//! Evaluation metrics from §3.5 of the paper: RMSE, NRMSE, RSE, Pearson R —
+//! the distances behind transformation error (TE, Definition 6) and
+//! forecasting error (FE, Definition 8) — plus the derived transformation
+//! forecasting error (TFE, Definition 9) and compression ratio (CR, Eq. 3).
 
 use crate::stats::mean;
 
@@ -83,41 +83,6 @@ pub fn range(x: &[f64]) -> f64 {
     }
 }
 
-/// The distance metric used for TE/FE in the paper's result tables.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Metric {
-    /// Root mean square error.
-    Rmse,
-    /// Range-normalized RMSE.
-    Nrmse,
-    /// Root relative squared error.
-    Rse,
-    /// Pearson correlation (higher is better; not a distance).
-    R,
-}
-
-impl Metric {
-    /// Evaluates the metric with `x` as reference and `y` as candidate.
-    pub fn eval(self, x: &[f64], y: &[f64]) -> f64 {
-        match self {
-            Metric::Rmse => rmse(x, y),
-            Metric::Nrmse => nrmse(x, y),
-            Metric::Rse => rse(x, y),
-            Metric::R => pearson(x, y),
-        }
-    }
-
-    /// Short display name matching the paper's tables.
-    pub fn name(self) -> &'static str {
-        match self {
-            Metric::Rmse => "RMSE",
-            Metric::Nrmse => "NRMSE",
-            Metric::Rse => "RSE",
-            Metric::R => "R",
-        }
-    }
-}
-
 /// A full row of the paper's accuracy tables: all four metrics at once.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct MetricSet {
@@ -134,12 +99,6 @@ pub struct MetricSet {
 /// Computes all four §3.5 metrics (reference `x`, candidate `y`).
 pub fn metric_set(x: &[f64], y: &[f64]) -> MetricSet {
     MetricSet { r: pearson(x, y), rse: rse(x, y), rmse: rmse(x, y), nrmse: nrmse(x, y) }
-}
-
-/// Transformation error (Definition 6): distance between original and
-/// decompressed values under `metric` (a nonnegative quantity).
-pub fn transformation_error(original: &[f64], decompressed: &[f64], metric: Metric) -> f64 {
-    metric.eval(original, decompressed)
 }
 
 /// Transformation forecasting error (Definition 9, Eq. 2):
@@ -254,13 +213,5 @@ mod tests {
         assert_eq!(s.nrmse, nrmse(&x, &y));
         assert_eq!(s.rse, rse(&x, &y));
         assert_eq!(s.r, pearson(&x, &y));
-    }
-
-    #[test]
-    fn metric_enum_dispatch() {
-        let x = [1.0, 2.0];
-        let y = [2.0, 3.0];
-        assert_eq!(Metric::Rmse.eval(&x, &y), rmse(&x, &y));
-        assert_eq!(Metric::R.name(), "R");
     }
 }

@@ -154,11 +154,6 @@ impl RegularTimeSeries {
         &self.values
     }
 
-    /// Mutable access to values (used by in-place transformations).
-    pub fn values_mut(&mut self) -> &mut [f64] {
-        &mut self.values
-    }
-
     /// Consumes the series, returning its values.
     pub fn into_values(self) -> Vec<f64> {
         self.values

@@ -8,11 +8,6 @@ use std::collections::VecDeque;
 
 use crate::series::{MultiSeries, SeriesError, SeriesSource};
 
-/// Paper default input window length (96 previous timestamps).
-pub const DEFAULT_INPUT_LEN: usize = 96;
-/// Paper default forecasting horizon (24 timestamps).
-pub const DEFAULT_HORIZON: usize = 24;
-
 /// Fractions for the paper's 70/10/20 split.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SplitSpec {
