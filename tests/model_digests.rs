@@ -3,11 +3,13 @@
 //! of `crates/forecast/tests/state_roundtrip.rs`, and a CRC32 over its
 //! `StateDict` (entry names and f64 bit patterns, in `entries()` order)
 //! must match the table below, so any change to a fit path that moves a
-//! single parameter bit fails here.
+//! single parameter bit fails here. A second table pins the two attention
+//! models at the grid's window shape, forecasts included.
 
 use evalimplsts::compression::crc32;
 use evalimplsts::forecast::model::ALL_MODELS;
-use evalimplsts::forecast::{build_model, BuildOptions, StateDict};
+use evalimplsts::forecast::{build_model, BuildOptions, ModelKind, StateDict};
+use evalimplsts::neural::tensor::Tensor;
 use evalimplsts::tsdata::datasets::{generate, DatasetKind, GenOptions};
 use evalimplsts::tsdata::split::{split, SplitSpec};
 
@@ -68,4 +70,51 @@ fn fitted_states_match_golden_digests() {
 #[test]
 fn fitted_states_ignore_auxiliary_channels() {
     assert_golden(Some(7));
+}
+
+/// CRC32 of the fitted state and of `predict_batch` over [`GRID_WINDOWS`]
+/// test windows, for the attention models at the grid's window shape
+/// (input 96, horizon 24). There ProbSparse leaves 73 of the 96 encoder
+/// queries lazy, against 2 of 16 at the shape of [`GOLDEN`].
+const GOLDEN_GRID: &[(&str, u32, u32)] =
+    &[("Informer", 0xfbefa35f, 0x74f4f571), ("Transformer", 0x979d9d1c, 0x2f12eef3)];
+
+/// One window past the 8-row chunk that stacked inference runs per graph.
+const GRID_WINDOWS: usize = 9;
+
+fn bits_digest(values: &[f64]) -> u32 {
+    let bytes: Vec<u8> = values.iter().flat_map(|v| v.to_bits().to_le_bytes()).collect();
+    crc32(&bytes)
+}
+
+/// ETTm1 at 1,250 points: 875 training points and a 125-point validation
+/// subset, which holds exactly one 120-point window.
+#[test]
+fn attention_models_match_golden_digests_at_grid_shape() {
+    let data =
+        generate(DatasetKind::ETTm1, GenOptions { len: Some(1_250), channels: Some(1), seed: 7 });
+    let s = split(&data, SplitSpec::default()).expect("1,250 points split cleanly");
+    let (input, horizon) = (96, 24);
+    let opts = BuildOptions { input_len: input, horizon, seed: 11, ..BuildOptions::default() };
+    let test = s.test.target().values();
+    let stride = (test.len() - input) / (GRID_WINDOWS - 1);
+    let mut windows = Tensor::zeros(GRID_WINDOWS, input);
+    for r in 0..GRID_WINDOWS {
+        windows.data_mut()[r * input..(r + 1) * input]
+            .copy_from_slice(&test[r * stride..r * stride + input]);
+    }
+    let got: Vec<(&str, u32, u32)> = [ModelKind::Informer, ModelKind::Transformer]
+        .into_iter()
+        .map(|kind| {
+            let mut model = build_model(kind, opts);
+            model.fit(&s.train, &s.val).expect("grid-shape fit succeeds");
+            let state = state_digest(&model.save_state().expect("fitted model exports state"));
+            let pred = model.predict_batch(&windows).expect("fitted model predicts");
+            assert_eq!(pred.shape(), (GRID_WINDOWS, horizon));
+            (kind.name(), state, bits_digest(pred.data()))
+        })
+        .collect();
+    let table: String =
+        got.iter().map(|(k, st, pr)| format!("    (\"{k}\", 0x{st:08x}, 0x{pr:08x}),\n")).collect();
+    assert_eq!(got, GOLDEN_GRID, "grid-shape golden table:\n{table}");
 }
