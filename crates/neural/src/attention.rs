@@ -1,9 +1,12 @@
 //! Scaled dot-product attention, multi-head attention, and Informer's
 //! ProbSparse variant.
 //!
-//! Attention operates per sample: inputs are `[seq, d_model]` matrices, and
-//! the layer code loops over the batch (batches are small in this workload,
-//! and per-sample graphs keep the 2-D tensor substrate simple).
+//! Inputs are `[n·L, d_model]` stacks of `n` samples: training passes one
+//! sample per graph, stacked inference several. The projections run as
+//! one matmul over the stack, and each head is one
+//! [`Graph::attention_head`] node that computes scores, masks, softmax
+//! and the value mix per sample block, so a sample's rows never depend on
+//! the other samples in the stack.
 
 use rand::rngs::StdRng;
 
@@ -82,10 +85,18 @@ impl MultiHeadAttention {
         crate::state::import_params(store, &self.param_ids(), dict)
     }
 
-    /// Applies attention for one sample.
-    ///
-    /// `q_in: [Lq, d_model]`, `k_in`/`v_in`: `[Lk, d_model]`.
+    /// Applies attention to `n` samples stacked row-wise: sample `i`'s
+    /// queries are rows `i·lq..(i+1)·lq` of `q_in` (`[n·lq, d_model]`),
+    /// its keys and values rows `i·lk..(i+1)·lk` of `k_in` and `v_in`.
     /// `causal` masks future key positions (decoder self-attention).
+    ///
+    /// The Q/K/V projections and the output mix run as single matmuls
+    /// over all samples, the `[n·L, d]·[d, d]` shape the blocked kernels
+    /// want; each head is one [`Graph::attention_head`] node over its
+    /// column range. Every row of the result is bitwise identical to the
+    /// same call on that sample alone: the matmuls contract over at most
+    /// `d_model` or `lk` elements, within one k-block of the blocked
+    /// kernels, so each output row depends only on its own input row.
     #[allow(clippy::too_many_arguments)]
     pub fn forward(
         &self,
@@ -96,125 +107,30 @@ impl MultiHeadAttention {
         v_in: NodeId,
         kind: AttentionKind,
         causal: bool,
-    ) -> NodeId {
-        let lq = g.value(q_in).rows();
-        let lk = g.value(k_in).rows();
-        let wq = g.param(store, self.wq);
-        let wk = g.param(store, self.wk);
-        let wv = g.param(store, self.wv);
-        let q = g.matmul(q_in, wq);
-        let k = g.matmul(k_in, wk);
-        let v = g.matmul(v_in, wv);
-
-        let mut heads_out: Option<NodeId> = None;
-        for h in 0..self.heads {
-            let (s, e) = (h * self.d_head, (h + 1) * self.d_head);
-            let qh = g.slice_cols(q, s, e);
-            let kh = g.slice_cols(k, s, e);
-            let vh = g.slice_cols(v, s, e);
-            let kt = g.transpose(kh);
-            let scores = g.matmul(qh, kt);
-            let mut scores = g.scale(scores, 1.0 / (self.d_head as f64).sqrt());
-
-            // ProbSparse: zero the score rows of "lazy" queries so their
-            // softmax is uniform (mean over V), matching Informer's
-            // fallback for unselected queries.
-            if let AttentionKind::ProbSparse { factor } = kind {
-                let u = ((factor as f64) * (lk.max(2) as f64).ln()).ceil() as usize;
-                if u < lq {
-                    let mask = sparse_query_mask(g.value(scores), u);
-                    let mask_node = g.input(mask);
-                    scores = g.mul(scores, mask_node);
-                }
-            }
-            if causal {
-                let mask_node = g.input(causal_mask(lq, lk));
-                scores = g.add(scores, mask_node);
-            }
-            let attn = g.softmax_rows(scores);
-            let out = g.matmul(attn, vh);
-            heads_out = Some(match heads_out {
-                None => out,
-                Some(prev) => g.hstack(prev, out),
-            });
-        }
-        let concat = heads_out.expect("at least one head");
-        let wo = g.param(store, self.wo);
-        g.matmul(concat, wo)
-    }
-
-    /// Applies attention for `n` samples stacked row-wise: sample `i`'s
-    /// queries occupy rows `i·lq..(i+1)·lq` of `q_in` (`[n·lq, d_model]`),
-    /// its keys/values rows `i·lk..(i+1)·lk` of `k_in`/`v_in`.
-    ///
-    /// The Q/K/V projections and the output mix run as single stacked
-    /// matmuls over all samples — the `[B·L, d]·[d, d]` shape the blocked
-    /// kernels want — while the score/softmax/value-mix stage stays
-    /// per-sample (scores are sample-local by definition, and ProbSparse's
-    /// query selection reads the realized score values). Constant inputs
-    /// (the causal mask) are built once and shared across samples and
-    /// heads. Every row of the result is bitwise identical to
-    /// [`MultiHeadAttention::forward`] on that sample alone: the matmuls
-    /// contract over at most `d_model` or `lk` elements, within one
-    /// k-block of the blocked kernels, so each output row depends only on
-    /// its own input row.
-    #[allow(clippy::too_many_arguments)]
-    pub fn forward_stacked(
-        &self,
-        g: &mut Graph,
-        store: &ParamStore,
-        q_in: NodeId,
-        k_in: NodeId,
-        v_in: NodeId,
-        kind: AttentionKind,
-        causal: bool,
         n: usize,
     ) -> NodeId {
-        assert!(n > 0, "stacked attention needs at least one sample");
-        let (q_rows, k_rows) = (g.value(q_in).rows(), g.value(k_in).rows());
-        assert!(
-            q_rows.is_multiple_of(n) && k_rows.is_multiple_of(n),
-            "stacked rows ({q_rows}, {k_rows}) not divisible by {n} samples"
-        );
-        let lq = q_rows / n;
-        let lk = k_rows / n;
+        assert!(n > 0, "attention needs at least one sample");
+        let lk = g.value(k_in).rows() / n;
         let wq = g.param(store, self.wq);
         let wk = g.param(store, self.wk);
         let wv = g.param(store, self.wv);
         let q = g.matmul(q_in, wq);
         let k = g.matmul(k_in, wk);
         let v = g.matmul(v_in, wv);
-        // One causal mask input tiled over all samples, shared by every head.
-        let causal_node = causal.then(|| {
-            let one = causal_mask(lq, lk);
-            let mut data = Vec::with_capacity(n * one.len());
-            for _ in 0..n {
-                data.extend_from_slice(one.data());
+        // ProbSparse keeps the `u` most informative queries per sample;
+        // the rest get uniform attention (mean over V), matching
+        // Informer's fallback for unselected queries.
+        let sparse_u = match kind {
+            AttentionKind::Full => None,
+            AttentionKind::ProbSparse { factor } => {
+                Some(((factor as f64) * (lk.max(2) as f64).ln()).ceil() as usize)
             }
-            g.input(Tensor::new(n * lq, lk, data))
-        });
-
+        };
+        let scale = 1.0 / (self.d_head as f64).sqrt();
         let mut heads_out: Option<NodeId> = None;
         for h in 0..self.heads {
-            let (s, e) = (h * self.d_head, (h + 1) * self.d_head);
-            let qh = g.slice_cols(q, s, e);
-            let kh = g.slice_cols(k, s, e);
-            let vh = g.slice_cols(v, s, e);
-            let scores = g.batch_matmul_nt(qh, kh, n);
-            let mut scores = g.scale(scores, 1.0 / (self.d_head as f64).sqrt());
-            if let AttentionKind::ProbSparse { factor } = kind {
-                let u = ((factor as f64) * (lk.max(2) as f64).ln()).ceil() as usize;
-                if u < lq {
-                    let mask = sparse_query_mask_stacked(g.value(scores), u, n);
-                    let mask_node = g.input(mask);
-                    scores = g.mul(scores, mask_node);
-                }
-            }
-            if let Some(mask_node) = causal_node {
-                scores = g.add(scores, mask_node);
-            }
-            let attn = g.softmax_rows(scores);
-            let out = g.batch_matmul(attn, vh, n);
+            let cols = h * self.d_head..(h + 1) * self.d_head;
+            let out = g.attention_head(q, k, v, cols, n, scale, sparse_u, causal);
             heads_out = Some(match heads_out {
                 None => out,
                 Some(prev) => g.hstack(prev, out),
@@ -226,66 +142,29 @@ impl MultiHeadAttention {
     }
 }
 
-/// The right-aligned causal mask added to attention scores: position `r`
-/// may attend keys `0..=r+offset` where `offset = lk - min(lq, lk)`
-/// (queries may be shorter than keys when the decoder attends over
-/// label + horizon positions).
-fn causal_mask(lq: usize, lk: usize) -> Tensor {
-    let mut m = Tensor::zeros(lq, lk);
-    let offset = lk - lq.min(lk);
-    for r in 0..lq {
-        let masked_from = (r + offset + 1).min(lk);
-        m.data_mut()[r * lk + masked_from..(r + 1) * lk].fill(-1e9);
-    }
-    m
-}
-
-/// Builds a 0/1 mask keeping the `u` query rows with the largest sparsity
-/// measure `M(q) = max_j s_qj − mean_j s_qj` (Informer Eq. 4).
-fn sparse_query_mask(scores: &Tensor, u: usize) -> Tensor {
-    let (lq, lk) = scores.shape();
-    let mut measures: Vec<(usize, f64)> = (0..lq)
-        .map(|r| {
-            let row = &scores.data()[r * lk..(r + 1) * lk];
+/// Informer's ProbSparse query selection for one sample's `[lq, lk]`
+/// score block (row-major in `scores`): returns one flag per query row,
+/// true for every row outside the `u` with the largest sparsity measure
+/// `M(q) = max_j s_qj − mean_j s_qj` (Informer Eq. 4). Ties keep row
+/// order. A NaN measure, from a row holding NaN or both infinities, ranks
+/// last, so a non-finite window selects lazily instead of panicking.
+pub(crate) fn lazy_query_rows(scores: &[f64], lk: usize, u: usize) -> Vec<bool> {
+    let mut measures: Vec<(usize, f64)> = scores
+        .chunks_exact(lk)
+        .enumerate()
+        .map(|(r, row)| {
             let max = row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
             let mean = row.iter().sum::<f64>() / lk as f64;
-            (r, max - mean)
+            let m = max - mean;
+            (r, if m.is_nan() { f64::NEG_INFINITY } else { m })
         })
         .collect();
-    measures.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite scores"));
-    let mut mask = Tensor::zeros(lq, lk);
+    measures.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("NaN measures were mapped to -inf"));
+    let mut lazy = vec![true; measures.len()];
     for &(r, _) in measures.iter().take(u) {
-        mask.data_mut()[r * lk..(r + 1) * lk].fill(1.0);
+        lazy[r] = false;
     }
-    mask
-}
-
-/// [`sparse_query_mask`] applied per sample block of a stacked `[n·lq,
-/// lk]` score matrix: each block's query selection sees exactly the
-/// scores the per-sample path would, so the mask rows are identical.
-fn sparse_query_mask_stacked(scores: &Tensor, u: usize, n: usize) -> Tensor {
-    let (rows, lk) = scores.shape();
-    let lq = rows / n;
-    let mut mask = Tensor::zeros(rows, lk);
-    for i in 0..n {
-        let blk = Tensor::new(lq, lk, scores.data()[i * lq * lk..(i + 1) * lq * lk].to_vec());
-        let m = sparse_query_mask(&blk, u);
-        mask.data_mut()[i * lq * lk..(i + 1) * lq * lk].copy_from_slice(m.data());
-    }
-    mask
-}
-
-/// `n` vertically tiled copies of [`positional_encoding`]: the additive
-/// term for a stacked batch of `n` length-`len` sequences, computed once
-/// per batch instead of once per sample (the `powf` grid is the expensive
-/// part, and it is identical for every sample).
-pub fn positional_encoding_tiled(len: usize, d_model: usize, n: usize) -> Tensor {
-    let pe = positional_encoding(len, d_model);
-    let mut data = Vec::with_capacity(n * pe.len());
-    for _ in 0..n {
-        data.extend_from_slice(pe.data());
-    }
-    Tensor::new(n * len, d_model, data)
+    lazy
 }
 
 /// Sinusoidal positional encoding `[len, d_model]` (Vaswani et al. 2017).
@@ -316,7 +195,7 @@ mod tests {
         let mut g = Graph::new();
         let q = g.input(Tensor::zeros(5, 8));
         let kv = g.input(Tensor::zeros(12, 8));
-        let out = mha.forward(&mut g, &store, q, kv, kv, AttentionKind::Full, false);
+        let out = mha.forward(&mut g, &store, q, kv, kv, AttentionKind::Full, false, 1);
         assert_eq!(g.value(out).shape(), (5, 8));
     }
 
@@ -337,7 +216,7 @@ mod tests {
         let q = g.input(Tensor::new(3, 4, vec![0.5; 12]));
         let kv_data: Vec<f64> = (0..6).flat_map(|_| vec![1.0, -1.0, 2.0, 0.0]).collect();
         let kv = g.input(Tensor::new(6, 4, kv_data));
-        let out = mha.forward(&mut g, &store, q, kv, kv, AttentionKind::Full, false);
+        let out = mha.forward(&mut g, &store, q, kv, kv, AttentionKind::Full, false, 1);
         // All value rows are equal, so out rows must be equal too.
         let v = g.value(out);
         for r in 1..3 {
@@ -361,7 +240,7 @@ mod tests {
         let run = |data: Vec<f64>| {
             let mut g = Graph::new();
             let x = g.input(Tensor::new(4, 4, data));
-            let out = mha.forward(&mut g, &store, x, x, x, AttentionKind::Full, true);
+            let out = mha.forward(&mut g, &store, x, x, x, AttentionKind::Full, true, 1);
             g.value(out).slice_rows(0, 3).clone()
         };
         let a = run(base);
@@ -378,9 +257,9 @@ mod tests {
         let data: Vec<f64> = (0..128).map(|i| ((i * 31 % 17) as f64 - 8.0) / 8.0).collect();
         let mut g = Graph::new();
         let x = g.input(Tensor::new(32, 4, data));
-        let full = mha.forward(&mut g, &store, x, x, x, AttentionKind::Full, false);
+        let full = mha.forward(&mut g, &store, x, x, x, AttentionKind::Full, false, 1);
         let sparse =
-            mha.forward(&mut g, &store, x, x, x, AttentionKind::ProbSparse { factor: 1 }, false);
+            mha.forward(&mut g, &store, x, x, x, AttentionKind::ProbSparse { factor: 1 }, false, 1);
         assert_eq!(g.value(full).shape(), g.value(sparse).shape());
         let diff: f64 = g
             .value(full)
@@ -394,12 +273,19 @@ mod tests {
 
     #[test]
     fn sparse_mask_keeps_top_u_rows() {
-        let scores = Tensor::new(3, 3, vec![5.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0, 9.0]);
-        let mask = sparse_query_mask(&scores, 2);
+        let scores = [5.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0, 9.0];
         // Rows 0 and 2 have high max-mean; row 1 is uniform (measure 0).
-        assert_eq!(mask.get(0, 0), 1.0);
-        assert_eq!(mask.get(1, 0), 0.0);
-        assert_eq!(mask.get(2, 2), 1.0);
+        assert_eq!(lazy_query_rows(&scores, 3, 2), vec![false, true, false]);
+    }
+
+    #[test]
+    fn non_finite_scores_rank_last_instead_of_panicking() {
+        let nan = f64::NAN;
+        let inf = f64::INFINITY;
+        // Rows: NaN, both infinities (measure NaN), a peaked row, +inf
+        // against finite values (measure NaN: inf - inf), a flat row.
+        let scores = [1.0, nan, 0.0, inf, -inf, 0.0, 3.0, 0.0, 0.0, inf, 1.0, 0.0, 2.0, 2.0, 2.0];
+        assert_eq!(lazy_query_rows(&scores, 3, 2), vec![true, true, false, true, false]);
     }
 
     #[test]
@@ -418,30 +304,20 @@ mod tests {
             let mut g = Graph::new();
             let q = g.input(Tensor::new(n * lq, 8, qd.clone()));
             let kv = g.input(Tensor::new(n * lk, 8, kd.clone()));
-            let stacked = mha.forward_stacked(&mut g, &store, q, kv, kv, kind, causal, n);
+            let stacked = mha.forward(&mut g, &store, q, kv, kv, kind, causal, n);
             let stacked_val = g.value(stacked).clone();
             assert_eq!(stacked_val.shape(), (n * lq, 8));
             for i in 0..n {
                 let mut g1 = Graph::new();
                 let qi = g1.input(Tensor::new(lq, 8, qd[i * lq * 8..(i + 1) * lq * 8].to_vec()));
                 let kvi = g1.input(Tensor::new(lk, 8, kd[i * lk * 8..(i + 1) * lk * 8].to_vec()));
-                let one = mha.forward(&mut g1, &store, qi, kvi, kvi, kind, causal);
+                let one = mha.forward(&mut g1, &store, qi, kvi, kvi, kind, causal, 1);
                 assert_eq!(
                     g1.value(one).data(),
                     &stacked_val.data()[i * lq * 8..(i + 1) * lq * 8],
                     "sample {i} diverged under {kind:?} causal={causal}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn tiled_positional_encoding_repeats_the_single_table() {
-        let one = positional_encoding(7, 6);
-        let tiled = positional_encoding_tiled(7, 6, 3);
-        assert_eq!(tiled.shape(), (21, 6));
-        for i in 0..3 {
-            assert_eq!(&tiled.data()[i * 42..(i + 1) * 42], one.data());
         }
     }
 
@@ -465,7 +341,7 @@ mod tests {
         store.zero_grads();
         let mut g = Graph::new();
         let x = g.input(Tensor::new(3, 4, (0..12).map(|i| i as f64 * 0.1).collect()));
-        let out = mha.forward(&mut g, &store, x, x, x, AttentionKind::Full, false);
+        let out = mha.forward(&mut g, &store, x, x, x, AttentionKind::Full, false, 1);
         let target = Tensor::zeros(3, 4);
         let loss = g.mse(out, &target);
         g.backward(loss, &mut store);
