@@ -381,13 +381,6 @@ pub fn unpack_bits_into(
     Ok(())
 }
 
-/// Unpacks `n` values of `width` bits with the blocked kernel.
-pub fn unpack_bits(bytes: &[u8], n: usize, width: u8) -> Result<Vec<u64>, BlockError> {
-    let mut out = Vec::with_capacity(n);
-    unpack_bits_into(bytes, n, width, Kernel::Blocked, &mut out)?;
-    Ok(out)
-}
-
 // ---------------------------------------------------------------------------
 // Varint (LEB128) — the spill fallback
 // ---------------------------------------------------------------------------
@@ -836,13 +829,22 @@ mod tests {
         let mut bytes = Vec::new();
         pack_bits_into(&[0, 0, 0], 0, Kernel::Blocked, &mut bytes);
         assert!(bytes.is_empty());
-        assert_eq!(unpack_bits(&bytes, 3, 0).unwrap(), vec![0, 0, 0]);
+        let mut out = Vec::new();
+        unpack_bits_into(&bytes, 3, 0, Kernel::Blocked, &mut out).unwrap();
+        assert_eq!(out, vec![0, 0, 0]);
     }
 
     #[test]
     fn unpack_validates_input() {
-        assert!(unpack_bits(&[0xFF], 3, 7).is_err(), "needs 3 bytes");
-        assert!(unpack_bits(&[0xFF; 16], 1, 65).is_err(), "width over 64");
+        let mut out = Vec::new();
+        assert!(
+            unpack_bits_into(&[0xFF], 3, 7, Kernel::Blocked, &mut out).is_err(),
+            "needs 3 bytes"
+        );
+        assert!(
+            unpack_bits_into(&[0xFF; 16], 1, 65, Kernel::Blocked, &mut out).is_err(),
+            "width over 64"
+        );
     }
 
     #[test]

@@ -10,11 +10,6 @@ pub fn informer(config: Seq2SeqConfig) -> Seq2Seq {
     Seq2Seq::new("Informer", config)
 }
 
-/// Informer with the paper-scale default configuration.
-pub fn default_informer() -> Seq2Seq {
-    informer(Seq2SeqConfig::informer())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -23,7 +18,7 @@ mod tests {
 
     #[test]
     fn name_and_sparse_attention() {
-        let m = default_informer();
+        let m = informer(Seq2SeqConfig::informer());
         assert_eq!(m.name(), "Informer");
         assert!(matches!(m.config().encoder_attention, AttentionKind::ProbSparse { factor: 5 }));
     }

@@ -9,11 +9,6 @@ pub fn transformer(config: Seq2SeqConfig) -> Seq2Seq {
     Seq2Seq::new("Transformer", config)
 }
 
-/// Transformer with the paper-scale default configuration.
-pub fn default_transformer() -> Seq2Seq {
-    transformer(Seq2SeqConfig::transformer())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -22,7 +17,7 @@ mod tests {
 
     #[test]
     fn name_and_defaults() {
-        let m = default_transformer();
+        let m = transformer(Seq2SeqConfig::transformer());
         assert_eq!(m.name(), "Transformer");
         assert_eq!(m.input_len(), 96);
         assert_eq!(m.horizon(), 24);

@@ -93,11 +93,6 @@ impl BinnedFeatures {
         BinnedFeatures { codes, thresholds, n, f }
     }
 
-    /// Number of samples.
-    pub fn num_samples(&self) -> usize {
-        self.n
-    }
-
     /// Number of features.
     pub fn num_features(&self) -> usize {
         self.f
@@ -490,7 +485,6 @@ mod tests {
     fn binning_respects_max_bins() {
         let x: Vec<f64> = (0..1000).map(|i| i as f64).collect();
         let b = BinnedFeatures::build(&x, 1000, 1, 16);
-        assert_eq!(b.num_samples(), 1000);
         assert_eq!(b.num_features(), 1);
         let max_code = (0..1000).map(|i| b.codes[i]).max().expect("non-empty");
         assert!(max_code < 16, "code {max_code}");

@@ -274,15 +274,6 @@ impl TsStore {
         seal_active(id, &mut s)
     }
 
-    /// Seals every series' active chunk.
-    pub fn seal_all(&self) -> Result<(), StoreError> {
-        let shards: Vec<_> = self.series.read().iter().map(|(id, s)| (*id, s.clone())).collect();
-        for (id, shard) in shards {
-            seal_active(id, &mut shard.lock())?;
-        }
-        Ok(())
-    }
-
     /// Total points ingested into `id`.
     pub fn series_len(&self, id: SeriesId) -> Result<usize, StoreError> {
         Ok(self.shard(id)?.lock().count)
@@ -537,21 +528,6 @@ mod tests {
             Err(StoreError::DuplicateSeries(_))
         ));
         assert_eq!(store.num_series(), 1);
-    }
-
-    #[test]
-    fn seal_all_flushes_every_series() {
-        let store = TsStore::new(StoreConfig::default());
-        for k in 0..4 {
-            let id = SeriesId(k);
-            store.create_series(id, ChunkCodec::Gorilla, 0.0).unwrap();
-            store.append_batch(id, (0..20).map(|i| (i * 30, (k as f64) + i as f64))).unwrap();
-        }
-        store.seal_all().unwrap();
-        for k in 0..4 {
-            assert_eq!(store.num_chunks(SeriesId(k)).unwrap(), 1);
-            assert!(store.sealed_bytes(SeriesId(k)).unwrap() > CHUNK_HEADER_LEN);
-        }
     }
 
     #[test]
