@@ -5,6 +5,8 @@
 //! initialization so repeated runs with different seeds average out
 //! initialization noise (§3.6).
 
+use std::time::Instant;
+
 use rand::rngs::StdRng;
 use rand::{seq::SliceRandom, SeedableRng};
 
@@ -24,7 +26,8 @@ pub struct TrainConfig {
     /// Shuffling / dropout seed.
     pub seed: u64,
     /// Model name used as the `model` label on training telemetry
-    /// (epoch durations and loss gauges). Purely observational.
+    /// (epoch and step-stage durations, loss gauges). Purely
+    /// observational.
     pub model: &'static str,
 }
 
@@ -70,6 +73,10 @@ fn restore(store: &mut ParamStore, snap: &[Tensor]) {
 /// forward pass for the given training batch and return a scalar loss node;
 /// with `training = false` it is called on validation batches (indices
 /// `0..n_val_batches`) and must not apply dropout.
+///
+/// Besides `train_epoch_seconds{model}`, every step records its
+/// `forward`, `backward` and `optimizer` durations, and every epoch its
+/// `validation` pass, in `train_step_seconds{model, stage}`.
 pub fn train<F>(
     store: &mut ParamStore,
     config: TrainConfig,
@@ -90,21 +97,35 @@ where
     let mut val_losses = Vec::new();
 
     let model_label = [("model", config.model)];
+    let stage_seconds = |stage: &str, since: Instant| {
+        telemetry::observe(
+            "train_step_seconds",
+            &[("model", config.model), ("stage", stage)],
+            telemetry::secs(since.elapsed()),
+        );
+    };
     let mut order: Vec<usize> = (0..n_train_batches).collect();
     for _epoch in 0..config.max_epochs {
-        let epoch_start = std::time::Instant::now();
+        let epoch_start = Instant::now();
         order.shuffle(&mut rng);
         let mut epoch_loss = 0.0;
         for &b in &order {
+            let forward_start = Instant::now();
             store.zero_grads();
             let mut g = Graph::new();
             let loss = loss_fn(&mut g, store, b, true, &mut rng);
             epoch_loss += g.value(loss).get(0, 0);
+            stage_seconds("forward", forward_start);
+            let backward_start = Instant::now();
             g.backward(loss, store);
+            stage_seconds("backward", backward_start);
+            let optimizer_start = Instant::now();
             adam.step(store);
+            stage_seconds("optimizer", optimizer_start);
         }
         train_losses.push(epoch_loss / n_train_batches as f64);
 
+        let validation_start = Instant::now();
         let val = if n_val_batches > 0 {
             let mut v = 0.0;
             for b in 0..n_val_batches {
@@ -116,6 +137,7 @@ where
         } else {
             *train_losses.last().expect("pushed above")
         };
+        stage_seconds("validation", validation_start);
         val_losses.push(val);
 
         telemetry::counter_add("train_epochs_total", &model_label, 1);
@@ -231,6 +253,40 @@ mod tests {
         // Restored weight is from the best epoch: near the early target 1.0,
         // far from 100.
         assert!(store.value(w).get(0, 0) < 5.0);
+    }
+
+    #[test]
+    fn step_stages_are_observed_once_per_step() {
+        telemetry::set_enabled(true);
+        let mut store = ParamStore::new();
+        let w = store.add("w", Tensor::row(&[0.0]));
+        let report = train(
+            &mut store,
+            TrainConfig { max_epochs: 4, model: "stage-telemetry-test", ..Default::default() },
+            3,
+            2,
+            |g, s, _b, _training, _rng| {
+                let wi = g.param(s, w);
+                g.mse(wi, &Tensor::row(&[1.0]))
+            },
+        );
+        let count = |stage: &str| {
+            let labels = [("model", "stage-telemetry-test"), ("stage", stage)];
+            telemetry::global()
+                .metrics()
+                .snapshot()
+                .into_iter()
+                .find(|m| {
+                    m.name == "train_step_seconds"
+                        && m.labels.iter().map(|(k, v)| (k.as_str(), v.as_str())).eq(labels)
+                })
+                .and_then(|m| m.value.as_histogram_totals())
+                .map_or(0, |(count, _)| count)
+        };
+        for stage in ["forward", "backward", "optimizer"] {
+            assert_eq!(count(stage), 3 * report.epochs as u64, "{stage}");
+        }
+        assert_eq!(count("validation"), report.epochs as u64);
     }
 
     #[test]
