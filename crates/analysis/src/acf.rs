@@ -24,7 +24,7 @@ pub fn acf(x: &[f64], max_lag: usize) -> Vec<f64> {
 }
 
 /// Autocorrelation at a single lag.
-pub fn acf_at(x: &[f64], lag: usize) -> f64 {
+pub(crate) fn acf_at(x: &[f64], lag: usize) -> f64 {
     if lag == 0 {
         return 1.0;
     }
@@ -66,24 +66,24 @@ pub fn pacf(x: &[f64], max_lag: usize) -> Vec<f64> {
 }
 
 /// First difference.
-pub fn diff(x: &[f64]) -> Vec<f64> {
+pub(crate) fn diff(x: &[f64]) -> Vec<f64> {
     x.windows(2).map(|w| w[1] - w[0]).collect()
 }
 
 /// Sum of squares of the first `k` autocorrelations (tsfeatures'
 /// `x_acf10`-style aggregate).
-pub fn sum_sq_acf(x: &[f64], k: usize) -> f64 {
+pub(crate) fn sum_sq_acf(x: &[f64], k: usize) -> f64 {
     acf(x, k).iter().map(|r| r * r).sum()
 }
 
 /// Sum of squares of the first `k` partial autocorrelations
 /// (`x_pacf5`-style aggregate).
-pub fn sum_sq_pacf(x: &[f64], k: usize) -> f64 {
+pub(crate) fn sum_sq_pacf(x: &[f64], k: usize) -> f64 {
     pacf(x, k).iter().map(|r| r * r).sum()
 }
 
 /// Index (lag) of the first zero crossing of the ACF; `max_lag` if none.
-pub fn first_zero_acf(x: &[f64], max_lag: usize) -> usize {
+pub(crate) fn first_zero_acf(x: &[f64], max_lag: usize) -> usize {
     let r = acf(x, max_lag);
     r.iter().position(|&v| v <= 0.0).map_or(max_lag, |i| i + 1)
 }

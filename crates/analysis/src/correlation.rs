@@ -1,7 +1,7 @@
 //! Correlation measures: Pearson (re-exported from `tsdata`) and Spearman
 //! rank correlation, used for the Table-4 characteristic-to-TFE ranking.
 
-pub use tsdata::metrics::pearson;
+use tsdata::metrics::pearson;
 
 /// Average ranks (1-based), with ties receiving the mean of their ranks.
 pub fn ranks(x: &[f64]) -> Vec<f64> {

@@ -13,7 +13,7 @@ use crate::acf::acf_at;
 
 /// A decomposition into aligned trend/seasonal/remainder components.
 #[derive(Debug, Clone)]
-pub struct Decomposition {
+pub(crate) struct Decomposition {
     /// Smoothed trend component.
     pub trend: Vec<f64>,
     /// Periodic component (all zeros when no season is given).
@@ -25,7 +25,7 @@ pub struct Decomposition {
 }
 
 /// Centered moving average with edge padding (window `w`, made odd).
-pub fn moving_average(x: &[f64], w: usize) -> Vec<f64> {
+pub(crate) fn moving_average(x: &[f64], w: usize) -> Vec<f64> {
     let n = x.len();
     let w = w.max(1) | 1; // odd
     let half = w / 2;
@@ -40,7 +40,7 @@ pub fn moving_average(x: &[f64], w: usize) -> Vec<f64> {
 
 /// Classical additive decomposition. `period = None` (or 1) produces a
 /// trend-only decomposition with zero seasonality.
-pub fn decompose(x: &[f64], period: Option<usize>) -> Decomposition {
+pub(crate) fn decompose(x: &[f64], period: Option<usize>) -> Decomposition {
     let n = x.len();
     let period = period.unwrap_or(1).max(1);
     let trend_window = if period > 1 { period } else { (n / 10).clamp(3, 201) };
@@ -73,7 +73,7 @@ pub fn decompose(x: &[f64], period: Option<usize>) -> Decomposition {
 
 /// STL-style characteristics derived from a decomposition.
 #[derive(Debug, Clone, Copy)]
-pub struct StlFeatures {
+pub(crate) struct StlFeatures {
     /// Strength of trend: `max(0, 1 − Var(R)/Var(T+R))`.
     pub trend_strength: f64,
     /// Strength of seasonality: `max(0, 1 − Var(R)/Var(S+R))`.
@@ -95,7 +95,7 @@ pub struct StlFeatures {
 }
 
 /// Computes the STL feature block from a decomposition.
-pub fn stl_features(d: &Decomposition) -> StlFeatures {
+pub(crate) fn stl_features(d: &Decomposition) -> StlFeatures {
     let var_r = variance(&d.remainder);
     let tr: Vec<f64> = d.trend.iter().zip(&d.remainder).map(|(a, b)| a + b).collect();
     let sr: Vec<f64> = d.seasonal.iter().zip(&d.remainder).map(|(a, b)| a + b).collect();

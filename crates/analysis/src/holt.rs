@@ -5,7 +5,7 @@
 
 /// Fitted Holt smoothing parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HoltParams {
+pub(crate) struct HoltParams {
     /// Level smoothing parameter.
     pub alpha: f64,
     /// Trend smoothing parameter.
@@ -15,7 +15,7 @@ pub struct HoltParams {
 }
 
 /// One-step-ahead SSE of Holt's linear method for given parameters.
-pub fn holt_sse(x: &[f64], alpha: f64, beta: f64) -> f64 {
+fn holt_sse(x: &[f64], alpha: f64, beta: f64) -> f64 {
     if x.len() < 3 {
         return 0.0;
     }
@@ -36,7 +36,7 @@ pub fn holt_sse(x: &[f64], alpha: f64, beta: f64) -> f64 {
 /// Fits `(alpha, beta)` by coarse-to-fine grid search minimizing one-step
 /// SSE. Long series are tail-capped for speed (the parameters are
 /// scale-free).
-pub fn holt_parameters(x: &[f64]) -> HoltParams {
+pub(crate) fn holt_parameters(x: &[f64]) -> HoltParams {
     const CAP: usize = 2000;
     let x = &x[x.len().saturating_sub(CAP)..];
     if x.len() < 3 {

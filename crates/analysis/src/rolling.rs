@@ -26,7 +26,7 @@ pub fn max_level_shift(x: &[f64], w: usize) -> Shift {
 
 /// Largest absolute difference between variances of consecutive windows
 /// (`max_var_shift`).
-pub fn max_var_shift(x: &[f64], w: usize) -> Shift {
+pub(crate) fn max_var_shift(x: &[f64], w: usize) -> Shift {
     rolling_shift(x, w, |a, b| (variance(a) - variance(b)).abs())
 }
 
@@ -52,7 +52,7 @@ fn rolling_shift(x: &[f64], w: usize, stat: impl Fn(&[f64], &[f64]) -> f64) -> S
 ///
 /// Densities are Gaussian-kernel estimates evaluated on a shared grid, with
 /// a small floor to keep the divergence finite (mirroring tsfeatures).
-pub fn max_kl_shift(x: &[f64], w: usize) -> Shift {
+pub(crate) fn max_kl_shift(x: &[f64], w: usize) -> Shift {
     const GRID: usize = 100;
     const FLOOR: f64 = 1e-6;
     if x.len() < 2 * w || w == 0 {
@@ -102,12 +102,12 @@ pub fn max_kl_shift(x: &[f64], w: usize) -> Shift {
 }
 
 /// Variance of tiled (non-overlapping) window means (`stability`).
-pub fn stability(x: &[f64], w: usize) -> f64 {
+pub(crate) fn stability(x: &[f64], w: usize) -> f64 {
     tiled(x, w, mean)
 }
 
 /// Variance of tiled window variances (`lumpiness`).
-pub fn lumpiness(x: &[f64], w: usize) -> f64 {
+pub(crate) fn lumpiness(x: &[f64], w: usize) -> f64 {
     tiled(x, w, variance)
 }
 
@@ -157,7 +157,7 @@ pub fn flat_spots(x: &[f64]) -> f64 {
 
 /// Hurst exponent via the rescaled-range (R/S) method: slope of
 /// `log(R/S)` against `log(window)` over dyadic windows.
-pub fn hurst(x: &[f64]) -> f64 {
+pub(crate) fn hurst(x: &[f64]) -> f64 {
     let n = x.len();
     if n < 32 {
         return 0.5;

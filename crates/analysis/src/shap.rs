@@ -129,7 +129,7 @@ pub fn tree_shap(tree: &RegressionTree, x: &[f64]) -> Vec<f64> {
 /// SHAP values of a gradient-boosting ensemble: the sum of per-tree SHAP
 /// values scaled by the learning rate (the base prediction carries no
 /// attribution).
-pub fn gbm_shap(model: &GbmRegressor, x: &[f64]) -> Vec<f64> {
+fn gbm_shap(model: &GbmRegressor, x: &[f64]) -> Vec<f64> {
     let mut phi = vec![0.0; model.num_features()];
     for tree in model.trees() {
         for (p, s) in phi.iter_mut().zip(tree_shap(tree, x)) {

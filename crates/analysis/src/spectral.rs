@@ -8,7 +8,7 @@ use tsdata::stats::mean;
 ///
 /// # Panics
 /// Panics if the number of complex points is not a power of two.
-pub fn fft(buf: &mut [(f64, f64)]) {
+fn fft(buf: &mut [(f64, f64)]) {
     let n = buf.len();
     assert!(n.is_power_of_two(), "FFT length must be a power of two");
     if n <= 1 {
@@ -45,7 +45,7 @@ pub fn fft(buf: &mut [(f64, f64)]) {
 
 /// One-sided periodogram of a real series (zero-padded to a power of two,
 /// mean removed). Returns power at frequencies `1..n/2`.
-pub fn periodogram(x: &[f64]) -> Vec<f64> {
+fn periodogram(x: &[f64]) -> Vec<f64> {
     if x.len() < 4 {
         return Vec::new();
     }
@@ -60,7 +60,7 @@ pub fn periodogram(x: &[f64]) -> Vec<f64> {
 /// Normalized spectral entropy in `[0, 1]`: Shannon entropy of the
 /// normalized periodogram divided by `ln(#frequencies)`. Near 1 for white
 /// noise, near 0 for a pure tone.
-pub fn spectral_entropy(x: &[f64]) -> f64 {
+pub(crate) fn spectral_entropy(x: &[f64]) -> f64 {
     let p = periodogram(x);
     let total: f64 = p.iter().sum();
     if p.len() < 2 || total <= 0.0 {

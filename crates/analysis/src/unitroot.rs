@@ -21,7 +21,7 @@ fn default_lags(n: usize) -> usize {
 
 /// KPSS level-stationarity statistic. Small values (≲ 0.46) are consistent
 /// with stationarity; large values reject it.
-pub fn kpss(x: &[f64]) -> f64 {
+pub(crate) fn kpss(x: &[f64]) -> f64 {
     let n = x.len();
     if n < 8 {
         return 0.0;
@@ -43,7 +43,7 @@ pub fn kpss(x: &[f64]) -> f64 {
 /// Phillips–Perron `Z_alpha` statistic (constant-only regression). Large
 /// negative values reject a unit root (stationary); values near zero are
 /// consistent with a unit root.
-pub fn phillips_perron(x: &[f64]) -> f64 {
+pub(crate) fn phillips_perron(x: &[f64]) -> f64 {
     let n = x.len();
     if n < 8 {
         return 0.0;

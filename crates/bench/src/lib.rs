@@ -72,7 +72,7 @@ pub const ALL_EXPERIMENTS: [Experiment; 15] = [
 
 impl Experiment {
     /// Parses an experiment name (case-insensitive).
-    pub fn parse(s: &str) -> Option<Experiment> {
+    fn parse(s: &str) -> Option<Experiment> {
         Some(match s.to_ascii_lowercase().as_str() {
             "table1" => Experiment::Table1,
             "fig1" => Experiment::Fig1,
@@ -93,21 +93,6 @@ impl Experiment {
             "all" => Experiment::All,
             _ => return None,
         })
-    }
-
-    /// Whether the experiment requires the (expensive) forecasting grid.
-    pub fn needs_forecast_grid(self) -> bool {
-        !matches!(
-            self,
-            Experiment::Table1
-                | Experiment::Fig1
-                | Experiment::Fig2
-                | Experiment::Fig3
-                | Experiment::Table3
-                | Experiment::Fig7
-                | Experiment::Decomp
-                | Experiment::Retrain
-        )
     }
 }
 
@@ -297,16 +282,6 @@ mod tests {
         assert!(!ALL_EXPERIMENTS.contains(&Experiment::Retrain));
         let cli = parse("retrain --quick").unwrap();
         assert_eq!(cli.experiments, vec![Experiment::Retrain]);
-    }
-
-    #[test]
-    fn grid_requirements() {
-        assert!(!Experiment::Table1.needs_forecast_grid());
-        assert!(!Experiment::Fig2.needs_forecast_grid());
-        assert!(Experiment::Table2.needs_forecast_grid());
-        assert!(Experiment::Table5.needs_forecast_grid());
-        assert!(!Experiment::Fig7.needs_forecast_grid());
-        assert!(!Experiment::Retrain.needs_forecast_grid());
     }
 
     #[test]

@@ -44,13 +44,8 @@ impl BitWriter {
         BitWriter { bytes: Vec::with_capacity(bits.div_ceil(8)), bit_pos: 0 }
     }
 
-    /// Reserves room for at least `bits` additional bits.
-    pub fn reserve(&mut self, bits: usize) {
-        self.bytes.reserve(bits.div_ceil(8));
-    }
-
     /// Writes a single bit.
-    pub fn write_bit(&mut self, bit: bool) {
+    pub(crate) fn write_bit(&mut self, bit: bool) {
         if self.bit_pos == 0 {
             self.bytes.push(0);
         }
@@ -99,7 +94,8 @@ impl BitWriter {
     }
 
     /// Total bits written.
-    pub fn len_bits(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len_bits(&self) -> usize {
         if self.bit_pos == 0 {
             self.bytes.len() * 8
         } else {
@@ -127,7 +123,7 @@ impl<'a> BitReader<'a> {
     }
 
     /// Reads one bit.
-    pub fn read_bit(&mut self) -> Result<bool, OutOfBits> {
+    pub(crate) fn read_bit(&mut self) -> Result<bool, OutOfBits> {
         let byte = self.pos / 8;
         if byte >= self.bytes.len() {
             return Err(OutOfBits);
@@ -179,7 +175,7 @@ impl<'a> BitReader<'a> {
     /// than 8 bits remain. This is the lookahead the table-driven Huffman
     /// decoder uses; near the end of the stream it falls back to the
     /// per-bit walk, so short reads never need zero-padding semantics.
-    pub fn peek8(&self) -> Option<u8> {
+    pub(crate) fn peek8(&self) -> Option<u8> {
         if self.remaining() < 8 {
             return None;
         }
@@ -196,7 +192,7 @@ impl<'a> BitReader<'a> {
     /// Advances past `n` bits that were already inspected via [`peek8`].
     ///
     /// [`peek8`]: BitReader::peek8
-    pub fn skip_bits(&mut self, n: u8) -> Result<(), OutOfBits> {
+    pub(crate) fn skip_bits(&mut self, n: u8) -> Result<(), OutOfBits> {
         if self.remaining() < n as usize {
             return Err(OutOfBits);
         }
@@ -205,7 +201,8 @@ impl<'a> BitReader<'a> {
     }
 
     /// Bits consumed so far.
-    pub fn position(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn position(&self) -> usize {
         self.pos
     }
 
@@ -338,10 +335,9 @@ mod tests {
     }
 
     #[test]
-    fn with_capacity_and_reserve() {
+    fn with_capacity_starts_empty() {
         let mut w = BitWriter::with_capacity(1000 * 64);
         assert!(w.len_bits() == 0);
-        w.reserve(128);
         w.write_bits(0xFFFF, 16);
         assert_eq!(w.into_bytes(), vec![0xFF, 0xFF]);
     }

@@ -1,7 +1,7 @@
 //! Blocked, vectorisable codec kernels (DESIGN.md §11).
 //!
-//! The hot byte paths of this crate — timestamp delta streams, SZ quantizer
-//! symbols, zero/sign bitmaps — are built on fixed-size blocks of
+//! The hot byte paths of this crate — SZ quantizer symbols and zero/sign
+//! bitmaps — are built on fixed-size blocks of
 //! [`LANE`] values packed at the block's maximum bit width, the
 //! Lemire-style *binary packing* layout fast integer codecs
 //! (FastPFor, LFZip's residual coder, Gorilla's successors) all share:
@@ -13,9 +13,8 @@
 //! * values too wide for `w` ("spills") are patched in afterwards from a
 //!   short side list of `(position, varint)` entries, so one outlier does
 //!   not widen the whole block;
-//! * transforms that make small widths common — [`zigzag`] and
-//!   delta-of-delta ([`dod_encode`]/[`dod_decode`]) — are plain slice
-//!   passes over the block.
+//! * [`zigzag`], which keeps small signed values at small widths, is a
+//!   plain slice pass over the block.
 //!
 //! Two kernel implementations exist behind [`Kernel`]: the word-at-a-time
 //! `Blocked` kernel every codec runs, and a definitional bit-at-a-time
@@ -72,7 +71,7 @@ pub enum Kernel {
 
 /// Bits required to represent `v` (0 for 0).
 #[inline]
-pub fn bits_needed(v: u64) -> u8 {
+fn bits_needed(v: u64) -> u8 {
     (64 - v.leading_zeros()) as u8
 }
 
@@ -436,7 +435,7 @@ pub fn read_varint(r: &mut ByteReader<'_>) -> Result<u64, BlockError> {
 }
 
 // ---------------------------------------------------------------------------
-// Zigzag + delta-of-delta transforms
+// Zigzag transform
 // ---------------------------------------------------------------------------
 
 /// Maps a signed value to an unsigned one with small magnitudes staying
@@ -450,37 +449,6 @@ pub fn zigzag(v: i64) -> u64 {
 #[inline]
 pub fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
-/// Zigzagged delta-of-deltas of `ts` (length `ts.len() - 1`; empty for a
-/// zero- or one-element input). Uses wrapping arithmetic so the transform
-/// is total — [`dod_decode`] inverts it exactly for any input.
-pub fn dod_encode(ts: &[i64]) -> Vec<u64> {
-    let mut out = Vec::with_capacity(ts.len().saturating_sub(1));
-    let mut prev_delta = 0i64;
-    for pair in ts.windows(2) {
-        let d = pair[1].wrapping_sub(pair[0]);
-        out.push(zigzag(d.wrapping_sub(prev_delta)));
-        prev_delta = d;
-    }
-    out
-}
-
-/// Reconstructs the timestamp vector from its first element and zigzagged
-/// delta-of-deltas: the inverse of [`dod_encode`].
-pub fn dod_decode(first: i64, dods: &[u64]) -> Vec<i64> {
-    let mut out = Vec::with_capacity(dods.len() + 1);
-    out.push(first);
-    let mut t = first;
-    let mut delta = 0i64;
-    // TrustedLen extend: the double prefix sum is a serial dependency
-    // chain, so the surrounding bookkeeping must not add per-value cost.
-    out.extend(dods.iter().map(|&z| {
-        delta = delta.wrapping_add(unzigzag(z));
-        t = t.wrapping_add(delta);
-        t
-    }));
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -552,11 +520,11 @@ pub fn encode_u64s_with(values: &[u64], kernel: Kernel) -> Vec<u8> {
 /// Decodes a stream produced by [`encode_u64s`] with the blocked
 /// kernel. Total: malformed bytes return [`BlockError`], and allocation is
 /// bounded by the remaining input, not by the decoded count field.
-pub fn decode_u64s(r: &mut ByteReader<'_>) -> Result<Vec<u64>, BlockError> {
+pub(crate) fn decode_u64s(r: &mut ByteReader<'_>) -> Result<Vec<u64>, BlockError> {
     decode_u64s_with(r, Kernel::Blocked)
 }
 
-/// [`decode_u64s`] with an explicit kernel.
+/// `decode_u64s` with an explicit kernel.
 pub fn decode_u64s_with(r: &mut ByteReader<'_>, kernel: Kernel) -> Result<Vec<u64>, BlockError> {
     let n = r.read_u32_le()? as usize;
     // A full block costs at least 2 bytes for LANE values; clamp the
@@ -573,8 +541,7 @@ pub fn decode_u64s_with(r: &mut ByteReader<'_>, kernel: Kernel) -> Result<Vec<u6
 }
 
 /// Decodes one block — width byte, spill count, packed lanes, spill
-/// patches — appending its `len` values to `out`. Shared by the u64
-/// stream decoder and the fused delta-of-delta decoder.
+/// patches — appending its `len` values to `out`.
 #[inline]
 fn decode_block(
     r: &mut ByteReader<'_>,
@@ -621,45 +588,6 @@ fn decode_block(
     Ok(())
 }
 
-/// Decodes a blocked stream of zigzagged delta-of-deltas (as written by
-/// [`encode_u64s`] over [`dod_encode`] output) straight into timestamps:
-/// each block lands in one L1-resident scratch buffer and the double
-/// prefix sum runs over it immediately, so the intermediate dod vector is
-/// never materialised and the 8-bytes-per-value write happens once.
-pub fn decode_dod_stream(r: &mut ByteReader<'_>, first: i64) -> Result<Vec<i64>, BlockError> {
-    decode_dod_stream_with(r, first, Kernel::Blocked)
-}
-
-/// [`decode_dod_stream`] with an explicit kernel.
-pub fn decode_dod_stream_with(
-    r: &mut ByteReader<'_>,
-    first: i64,
-    kernel: Kernel,
-) -> Result<Vec<i64>, BlockError> {
-    let n = r.read_u32_le()? as usize;
-    let cap = n.min(r.remaining().saturating_mul(LANE / 2).saturating_add(LANE));
-    let mut out = Vec::with_capacity(cap + 1);
-    out.push(first);
-    let mut t = first;
-    let mut delta = 0i64;
-    let mut scratch: Vec<u64> = Vec::with_capacity(LANE);
-    let mut done = 0usize;
-    while done < n {
-        let len = LANE.min(n - done);
-        scratch.clear();
-        decode_block(r, len, kernel, &mut scratch)?;
-        // TrustedLen extend over the scratch block: no per-value
-        // capacity check inside the serial prefix-sum chain.
-        out.extend(scratch.iter().map(|&z| {
-            delta = delta.wrapping_add(unzigzag(z));
-            t = t.wrapping_add(delta);
-            t
-        }));
-        done += len;
-    }
-    Ok(out)
-}
-
 // ---------------------------------------------------------------------------
 // Word-backed bitset
 // ---------------------------------------------------------------------------
@@ -677,16 +605,6 @@ impl Bitset {
     /// All-zero bitset of `len` bits.
     pub fn with_len(len: usize) -> Self {
         Bitset { words: vec![0u64; len.div_ceil(64)], len }
-    }
-
-    /// Number of bits.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the set holds no bits at all.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Sets bit `i`.
@@ -878,21 +796,6 @@ mod tests {
     }
 
     #[test]
-    fn dod_roundtrip() {
-        let ts: Vec<i64> = (0..500).map(|i| 1_600_000_000 + i * 900 + (i % 7) * 3).collect();
-        let dods = dod_encode(&ts);
-        assert_eq!(dods.len(), ts.len() - 1);
-        assert_eq!(dod_decode(ts[0], &dods), ts);
-        // Regular series: all delta-of-deltas past the first are zero.
-        let regular: Vec<i64> = (0..100).map(|i| 7 + i * 60).collect();
-        let d = dod_encode(&regular);
-        assert!(d[1..].iter().all(|&z| z == 0));
-        // Extremes survive via wrapping arithmetic.
-        let hostile = vec![i64::MIN, i64::MAX, 0, -1, i64::MAX];
-        assert_eq!(dod_decode(hostile[0], &dod_encode(&hostile)), hostile);
-    }
-
-    #[test]
     fn stream_roundtrip_with_spills() {
         // Mostly-small values with rare huge outliers: the spill path.
         let values: Vec<u64> =
@@ -948,8 +851,6 @@ mod tests {
     #[test]
     fn bitset_basics() {
         let mut b = Bitset::with_len(130);
-        assert_eq!(b.len(), 130);
-        assert!(!b.is_empty());
         b.set(0);
         b.set(64);
         b.set(129);
@@ -957,7 +858,7 @@ mod tests {
         assert!(!b.get(1) && !b.get(128));
         assert_eq!(b.count_ones(), 3);
         assert_eq!(b.count_zeros(), 127);
-        assert!(Bitset::with_len(0).is_empty());
+        assert_eq!(Bitset::with_len(0).count_zeros(), 0);
     }
 
     #[test]

@@ -125,7 +125,7 @@ pub trait PeblcCompressor: Send + Sync {
 }
 
 /// Validates an error bound parameter.
-pub fn check_epsilon(epsilon: f64) -> Result<(), CodecError> {
+pub(crate) fn check_epsilon(epsilon: f64) -> Result<(), CodecError> {
     if !epsilon.is_finite() || epsilon < 0.0 {
         Err(CodecError::BadErrorBound(epsilon))
     } else {
@@ -135,7 +135,7 @@ pub fn check_epsilon(epsilon: f64) -> Result<(), CodecError> {
 
 /// The per-point allowed absolute deviation under a relative bound.
 #[inline]
-pub fn point_bound(value: f64, epsilon: f64) -> f64 {
+pub(crate) fn point_bound(value: f64, epsilon: f64) -> f64 {
     epsilon * value.abs()
 }
 
@@ -147,7 +147,7 @@ pub fn point_bound(value: f64, epsilon: f64) -> f64 {
 /// repeat across segments and across series, which is what lets the final
 /// DEFLATE pass shrink constant-coefficient streams so effectively
 /// (the paper's PMC-vs-Swing gzip argument, §4.2).
-pub fn shortest_decimal_in(lo: f64, hi: f64) -> f64 {
+pub(crate) fn shortest_decimal_in(lo: f64, hi: f64) -> f64 {
     // Written to pass for NaN bounds (a NaN point's interval), which the
     // non-finite branch below handles.
     debug_assert!(lo <= hi || lo.is_nan() || hi.is_nan(), "inverted interval");

@@ -99,7 +99,7 @@ impl ValueAppender {
     /// averages well under 40 bits/value; sizing for the first value's 64
     /// bits plus that keeps growth to one realloc in the worst case
     /// instead of byte-at-a-time doubling.
-    pub fn with_capacity(n: usize) -> Self {
+    fn with_capacity(n: usize) -> Self {
         ValueAppender {
             w: BitWriter::with_capacity(64 + n * 40),
             prev: 0,
@@ -107,21 +107,6 @@ impl ValueAppender {
             prev_trailing: 0,
             count: 0,
         }
-    }
-
-    /// Number of values appended so far.
-    pub fn len(&self) -> usize {
-        self.count
-    }
-
-    /// True when no value has been appended.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Bits written so far (the live bytes/point gauge for seal policies).
-    pub fn len_bits(&self) -> usize {
-        self.w.len_bits()
     }
 
     /// Appends one value. The first costs 64 raw bits; each later value
@@ -256,14 +241,14 @@ mod tests {
     #[test]
     fn repeated_values_cost_one_bit() {
         // 64 bits for the first + 1000 zero-XOR bits
-        assert_eq!(append(&[7.5; 1001]).len_bits(), 64 + 1000);
+        assert_eq!(append(&[7.5; 1001]).w.len_bits(), 64 + 1000);
     }
 
     #[test]
     fn similar_values_compress() {
         // Values differing only in low mantissa bits: window reuse kicks in.
         let values: Vec<f64> = (0..10_000).map(|i| 100.0 + (i % 16) as f64 * 1e-12).collect();
-        let bits_per_value = append(&values).len_bits() as f64 / values.len() as f64;
+        let bits_per_value = append(&values).w.len_bits() as f64 / values.len() as f64;
         assert!(bits_per_value < 40.0, "bits/value {bits_per_value}");
     }
 
@@ -317,7 +302,7 @@ mod tests {
             // The store's appended chunk payload is the batch frame's body
             // after the header and count.
             let a = append(&values);
-            assert_eq!(a.len(), values.len());
+            assert_eq!(a.count, values.len());
             let frame = Gorilla.compress(&series(values.clone()), 0.0).unwrap();
             let inner = deflate::decompress(&frame.bytes).unwrap();
             assert_eq!(a.into_bytes(), inner[timestamps::HEADER_LEN + 4..], "n={}", values.len());

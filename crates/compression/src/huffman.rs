@@ -3,12 +3,12 @@
 //! Used twice in this crate: as SZ's entropy stage for quantization codes
 //! (paper §3.2) and inside the DEFLATE-style lossless codec that stands in
 //! for gzip. Codes are canonical so only the code *lengths* need to be
-//! stored; lengths are limited to [`MAX_CODE_LEN`] bits.
+//! stored; lengths are limited to `MAX_CODE_LEN` bits.
 
 use crate::bitstream::{BitReader, BitWriter, OutOfBits};
 
 /// Maximum code length (as in DEFLATE).
-pub const MAX_CODE_LEN: u8 = 15;
+const MAX_CODE_LEN: u8 = 15;
 
 /// Errors from building or using a Huffman code.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,7 +48,7 @@ impl From<OutOfBits> for HuffmanError {
 /// alphabet gets length 1. Lengths never exceed `MAX_CODE_LEN`; if the
 /// unrestricted tree is deeper, lengths are clamped and repaired to satisfy
 /// the Kraft equality (the standard zlib-style overflow fix).
-pub fn build_code_lengths(freqs: &[u64]) -> Result<Vec<u8>, HuffmanError> {
+fn build_code_lengths(freqs: &[u64]) -> Result<Vec<u8>, HuffmanError> {
     let active: Vec<usize> = (0..freqs.len()).filter(|&i| freqs[i] > 0).collect();
     if active.is_empty() {
         return Err(HuffmanError::EmptyAlphabet);
@@ -196,7 +196,7 @@ const TABLE_BITS: u8 = 8;
 
 impl CanonicalCode {
     /// Builds the canonical code from per-symbol lengths (0 = absent).
-    pub fn from_lengths(lengths: &[u8]) -> Result<Self, HuffmanError> {
+    fn from_lengths(lengths: &[u8]) -> Result<Self, HuffmanError> {
         let mut count = [0u32; MAX_CODE_LEN as usize + 1];
         let mut any = false;
         for &l in lengths {
@@ -276,7 +276,10 @@ impl CanonicalCode {
     /// container use. Total: a truncated table or a Kraft-violating one
     /// is an error, never a panic, so this is the one place untrusted
     /// Huffman tables enter the crate.
-    pub fn read_lengths4(r: &mut BitReader<'_>, alphabet: usize) -> Result<Self, HuffmanError> {
+    pub(crate) fn read_lengths4(
+        r: &mut BitReader<'_>,
+        alphabet: usize,
+    ) -> Result<Self, HuffmanError> {
         let mut lengths = vec![0u8; alphabet];
         for l in lengths.iter_mut() {
             *l = r.read_bits(4)? as u8;
@@ -285,7 +288,7 @@ impl CanonicalCode {
     }
 
     /// Serializes the table in the layout [`Self::read_lengths4`] reads.
-    pub fn write_lengths4(&self, w: &mut BitWriter) {
+    pub(crate) fn write_lengths4(&self, w: &mut BitWriter) {
         for &l in self.lengths() {
             debug_assert!(l <= 15, "4-bit table");
             w.write_bits(l as u64, 4);
@@ -293,7 +296,7 @@ impl CanonicalCode {
     }
 
     /// The per-symbol code lengths (for serialization).
-    pub fn lengths(&self) -> &[u8] {
+    pub(crate) fn lengths(&self) -> &[u8] {
         &self.lengths
     }
 

@@ -7,9 +7,9 @@
 //!
 //! * [`bitstream`] — MSB-first bit I/O with word-level multi-bit fast
 //!   paths.
-//! * [`block`] — blocked bitpacking kernels (128-value lanes, zigzag +
-//!   delta-of-delta transforms, varint spills, word-backed bitsets) with a
-//!   runtime-selected scalar fallback (DESIGN.md §11).
+//! * [`block`] — blocked bitpacking kernels (128-value lanes, zigzag,
+//!   varint spills, word-backed bitsets) with a runtime-selected scalar
+//!   fallback (DESIGN.md §11).
 //! * [`huffman`] — canonical, length-limited Huffman coding.
 //! * [`deflate`] — an LZ77 + Huffman lossless codec standing in for gzip
 //!   (§3.2 applies gzip to every representation and to the raw data).
@@ -55,19 +55,19 @@ pub mod huffman;
 pub mod mutate;
 pub mod pmc;
 pub mod reader;
-pub mod streaming;
+mod streaming;
 pub mod swing;
 pub mod sz;
 pub mod timestamps;
 
 pub use codec::{
-    check_epsilon, find_bound_violation, point_bound, raw_bytes, raw_compressed_size, CodecError,
-    CompressedSeries, PeblcCompressor, ERROR_BOUNDS,
+    find_bound_violation, raw_bytes, raw_compressed_size, CodecError, CompressedSeries,
+    PeblcCompressor, ERROR_BOUNDS,
 };
 pub use crc::crc32;
 pub use gorilla::Gorilla;
 pub use pmc::{Pmc, StreamingPmc};
-pub use reader::{ByteReader, ReadError};
+pub use reader::ByteReader;
 pub use streaming::compress_source;
 pub use swing::{StreamingSwing, Swing};
 pub use sz::Sz;

@@ -31,7 +31,7 @@ impl Lcg64 {
     }
 
     /// Next raw 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
+    fn next_u64(&mut self) -> u64 {
         self.state = self
             .state
             .wrapping_mul(6_364_136_223_846_793_005)
@@ -49,13 +49,13 @@ impl Lcg64 {
     }
 
     /// Uniform byte.
-    pub fn byte(&mut self) -> u8 {
+    fn byte(&mut self) -> u8 {
         self.next_u64() as u8
     }
 }
 
 /// The mutation classes the harness sweeps. `Splice` needs a second
-/// corpus buffer, so [`mutate`] takes the whole corpus and picks donors
+/// corpus buffer, so `mutate` takes the whole corpus and picks donors
 /// itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mutation {
@@ -91,7 +91,7 @@ const TAMPER_VALUES: [u32; 6] = [u32::MAX, u32::MAX - 1, 0x7FFF_FFFF, 0x0100_000
 /// The result is never byte-identical to the source unless the corpus
 /// entry is empty. `corpus` must be non-empty; `target` is an index into
 /// it.
-pub fn mutate(corpus: &[Vec<u8>], target: usize, kind: Mutation, rng: &mut Lcg64) -> Vec<u8> {
+fn mutate(corpus: &[Vec<u8>], target: usize, kind: Mutation, rng: &mut Lcg64) -> Vec<u8> {
     let mut buf = corpus[target].clone();
     match kind {
         Mutation::Truncate => {

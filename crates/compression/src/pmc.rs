@@ -49,9 +49,9 @@ pub struct PmcSegment {
 }
 
 /// Online PMC-Mean: push points one at a time, receive each segment as
-/// soon as the error bound closes it. This is the one PMC encoder: the
-/// batch [`segment_values`], [`Pmc::compress`], `compress_source` and the
-/// store's chunk appends all fold over it. Memory stays O(1) in the
+/// soon as the error bound closes it. This is the one PMC encoder:
+/// [`Pmc::compress`], `compress_source` and the store's chunk appends all
+/// fold over it. Memory stays O(1) in the
 /// stream length.
 #[derive(Debug, Clone)]
 pub struct StreamingPmc {
@@ -123,11 +123,6 @@ impl StreamingPmc {
             value: representative(self.lo, self.hi, self.mean),
         })
     }
-}
-
-/// Runs the PMC-Mean windowing on raw values, returning its segments.
-pub fn segment_values(values: &[f64], epsilon: f64) -> Vec<PmcSegment> {
-    fold(StreamingPmc::new(epsilon), values.iter().copied())
 }
 
 /// Pushes every value through `enc`, then drains it.
@@ -242,6 +237,10 @@ mod tests {
 
     fn series(values: Vec<f64>) -> RegularTimeSeries {
         RegularTimeSeries::new(0, 60, values).unwrap()
+    }
+
+    fn segment_values(values: &[f64], epsilon: f64) -> Vec<PmcSegment> {
+        fold(StreamingPmc::new(epsilon), values.iter().copied())
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! payloads in a production deployment, or deliberately mutated buffers in
 //! the fuzz harness (`tests/fuzz_decode.rs`). [`ByteReader`] makes those
 //! paths *total*: every read is bounds-checked up front and returns
-//! [`ReadError`] instead of panicking, and [`ByteReader::bounded_capacity`]
+//! [`ReadError`] instead of panicking, and `ByteReader::bounded_capacity`
 //! clamps preallocation driven by decoded count fields so a corrupt 4-byte
 //! count can never request more memory than the remaining input could
 //! honestly describe.
@@ -92,7 +92,7 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Skips `n` bytes.
-    pub fn skip(&mut self, n: usize) -> Result<(), ReadError> {
+    pub(crate) fn skip(&mut self, n: usize) -> Result<(), ReadError> {
         self.read_bytes(n).map(|_| ())
     }
 
@@ -122,17 +122,17 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Reads a little-endian `i32`.
-    pub fn read_i32_le(&mut self) -> Result<i32, ReadError> {
+    pub(crate) fn read_i32_le(&mut self) -> Result<i32, ReadError> {
         Ok(self.read_u32_le()? as i32)
     }
 
     /// Reads a little-endian IEEE-754 `f32`.
-    pub fn read_f32_le(&mut self) -> Result<f32, ReadError> {
+    pub(crate) fn read_f32_le(&mut self) -> Result<f32, ReadError> {
         Ok(f32::from_bits(self.read_u32_le()?))
     }
 
     /// Reads a little-endian IEEE-754 `f64`.
-    pub fn read_f64_le(&mut self) -> Result<f64, ReadError> {
+    pub(crate) fn read_f64_le(&mut self) -> Result<f64, ReadError> {
         Ok(f64::from_bits(self.read_u64_le()?))
     }
 
@@ -141,7 +141,7 @@ impl<'a> ByteReader<'a> {
     /// records the *remaining* input could actually hold. Honest streams
     /// get their exact capacity; a tampered count field degrades to the
     /// input-proportional bound instead of a multi-gigabyte allocation.
-    pub fn bounded_capacity(&self, count: usize, min_record_bytes: usize) -> usize {
+    pub(crate) fn bounded_capacity(&self, count: usize, min_record_bytes: usize) -> usize {
         count.min(self.remaining() / min_record_bytes.max(1))
     }
 }

@@ -53,6 +53,7 @@ pub fn compress_source(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::point_bound;
     use crate::pmc::{PmcSegment, StreamingPmc};
     use crate::swing::{StreamingSwing, SwingSegment};
     use tsdata::datasets::{generate_univariate, DatasetKind, GenOptions};
@@ -71,13 +72,94 @@ mod tests {
         out
     }
 
+    /// PMC-Mean's greedy windows recomputed from the definition, each
+    /// quantity from scratch over the whole window: a window grows while
+    /// the intersection `[lo, hi]` of its points' bound intervals is
+    /// non-empty and holds the window mean. Returns `(len, lo, hi)` per
+    /// window.
+    fn pmc_reference(values: &[f64], eps: f64) -> Vec<(usize, f64, f64)> {
+        let bounds = |w: &[f64]| {
+            let lo = w.iter().map(|&v| v - point_bound(v, eps)).fold(f64::NEG_INFINITY, f64::max);
+            let hi = w.iter().map(|&v| v + point_bound(v, eps)).fold(f64::INFINITY, f64::min);
+            (lo, hi)
+        };
+        let admits = |w: &[f64]| {
+            let (lo, hi) = bounds(w);
+            let mean = w.iter().sum::<f64>() / w.len() as f64;
+            lo <= hi && mean >= lo && mean <= hi
+        };
+        let mut out = Vec::new();
+        let mut start = 0;
+        while start < values.len() {
+            let mut end = start + 1;
+            while end < values.len() && admits(&values[start..=end]) {
+                end += 1;
+            }
+            let (lo, hi) = bounds(&values[start..end]);
+            out.push((end - start, lo, hi));
+            start = end;
+        }
+        out
+    }
+
+    /// Swing's greedy windows recomputed from the definition: the slope
+    /// interval of a window anchored at its first value is the
+    /// intersection of every later point's interval, shrunk by the f32
+    /// coefficient margin (an exact zero pins the slope at 0 and needs a
+    /// zero anchor), recomputed from scratch over the whole window.
+    fn swing_reference(values: &[f64], eps: f64) -> Vec<SwingSegment> {
+        let slopes = |w: &[f64]| -> Option<(f64, f64)> {
+            let anchor = w[0];
+            let (mut lo, mut hi) = (f64::NEG_INFINITY, f64::INFINITY);
+            for (off, &v) in w.iter().enumerate().skip(1) {
+                let (l, h) = if v == 0.0 && eps < 1.0 {
+                    if anchor != 0.0 {
+                        return None;
+                    }
+                    (0.0, 0.0)
+                } else {
+                    let b = point_bound(v, eps);
+                    let b_eff = b - 2.0 * f32::EPSILON as f64 * (anchor.abs() + v.abs() + b);
+                    if b_eff.is_nan() || b_eff <= 0.0 {
+                        return None;
+                    }
+                    ((v - b_eff - anchor) / off as f64, (v + b_eff - anchor) / off as f64)
+                };
+                lo = lo.max(l);
+                hi = hi.min(h);
+            }
+            (lo <= hi).then_some((lo, hi))
+        };
+        let mut out = Vec::new();
+        let mut start = 0;
+        while start < values.len() {
+            let mut end = start + 1;
+            while end < values.len() && slopes(&values[start..=end]).is_some() {
+                end += 1;
+            }
+            let (lo, hi) = slopes(&values[start..end]).expect("an admitted window");
+            let slope = if lo.is_finite() && hi.is_finite() { (lo + hi) / 2.0 } else { 0.0 };
+            out.push(SwingSegment { len: end - start, intercept: values[start], slope });
+            start = end;
+        }
+        out
+    }
+
     #[test]
     fn streaming_pmc_matches_batch() {
         let series = generate_univariate(DatasetKind::ETTm1, GenOptions::with_len(3_000));
         for eps in [0.01, 0.1, 0.4] {
             let streamed = drain_pmc(series.values(), eps);
-            let batch = crate::pmc::segment_values(series.values(), eps);
-            assert_eq!(streamed, batch, "eps {eps}");
+            let batch = pmc_reference(series.values(), eps);
+            assert_eq!(streamed.len(), batch.len(), "eps {eps}");
+            for (s, &(len, lo, hi)) in streamed.iter().zip(&batch) {
+                assert_eq!(s.len, len, "eps {eps}");
+                assert!(
+                    lo <= s.value && s.value <= hi,
+                    "eps {eps}: {} outside [{lo}, {hi}]",
+                    s.value
+                );
+            }
         }
     }
 
@@ -86,8 +168,7 @@ mod tests {
         let series = generate_univariate(DatasetKind::Solar, GenOptions::with_len(3_000));
         for eps in [0.01, 0.1, 0.4] {
             let streamed = drain_swing(series.values(), eps);
-            let batch = crate::swing::segment_values(series.values(), eps);
-            assert_eq!(streamed, batch, "eps {eps}");
+            assert_eq!(streamed, swing_reference(series.values(), eps), "eps {eps}");
         }
     }
 
@@ -199,11 +280,8 @@ mod tests {
                 streamed.extend(chunk.iter().filter_map(|&v| s.push(v)));
                 streamed.extend(s.drain());
             }
-            let batch: Vec<PmcSegment> = series
-                .values()
-                .chunks(k)
-                .flat_map(|c| crate::pmc::segment_values(c, 0.1))
-                .collect();
+            let batch: Vec<PmcSegment> =
+                series.values().chunks(k).flat_map(|c| drain_pmc(c, 0.1)).collect();
             assert_eq!(streamed, batch, "k={k}");
         }
     }

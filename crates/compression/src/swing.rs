@@ -39,17 +39,10 @@ pub struct SwingSegment {
     pub slope: f64,
 }
 
-impl SwingSegment {
-    /// Reconstructs the segment's values.
-    pub fn values(&self) -> impl Iterator<Item = f64> + '_ {
-        (0..self.len).map(move |i| self.intercept + self.slope * i as f64)
-    }
-}
-
 /// Online Swing filter: push points one at a time, receive each line
 /// segment as soon as the error bound closes it. This is the one Swing
-/// encoder: the batch [`segment_values`], [`Swing::compress`],
-/// `compress_source` and the store's chunk appends all fold over it.
+/// encoder: [`Swing::compress`], `compress_source` and the store's chunk
+/// appends all fold over it.
 #[derive(Debug, Clone)]
 pub struct StreamingSwing {
     epsilon: f64,
@@ -149,11 +142,6 @@ impl StreamingSwing {
         };
         Some(SwingSegment { len: self.len, intercept: self.anchor, slope })
     }
-}
-
-/// Runs the Swing filter over raw values, returning line segments.
-pub fn segment_values(values: &[f64], epsilon: f64) -> Vec<SwingSegment> {
-    fold(StreamingSwing::new(epsilon), values.iter().copied())
 }
 
 /// Pushes every value through `enc`, then drains it.
@@ -265,6 +253,10 @@ mod tests {
         RegularTimeSeries::new(0, 60, values).unwrap()
     }
 
+    fn segment_values(values: &[f64], epsilon: f64) -> Vec<SwingSegment> {
+        fold(StreamingSwing::new(epsilon), values.iter().copied())
+    }
+
     #[test]
     fn perfect_line_is_one_segment() {
         let vals: Vec<f64> = (0..1000).map(|i| 5.0 + 0.25 * i as f64).collect();
@@ -288,7 +280,10 @@ mod tests {
         // A ramp through zero: the zero point must reconstruct exactly.
         let vals: Vec<f64> = (0..21).map(|i| 10.0 - i as f64).collect();
         let segs = segment_values(&vals, 0.05);
-        let rebuilt: Vec<f64> = segs.iter().flat_map(|s| s.values().collect::<Vec<_>>()).collect();
+        let rebuilt: Vec<f64> = segs
+            .iter()
+            .flat_map(|s| (0..s.len).map(|i| s.intercept + s.slope * i as f64))
+            .collect();
         assert_eq!(rebuilt[10], 0.0, "zero at index 10 must be exact");
     }
 
@@ -331,7 +326,8 @@ mod tests {
         let vals: Vec<f64> =
             (0..4000).map(|i| (i as f64 * 0.01) * 10.0 + (i as f64 * 0.2).sin()).collect();
         let swing = segment_values(&vals, 0.05).len();
-        let pmc = crate::pmc::segment_values(&vals, 0.05).len();
+        let mut enc = crate::pmc::StreamingPmc::new(0.05);
+        let pmc = vals.iter().filter_map(|&v| enc.push(v)).count() + enc.drain().iter().count();
         assert!(swing < pmc, "swing {swing} vs pmc {pmc}");
     }
 

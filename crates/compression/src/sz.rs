@@ -45,7 +45,7 @@ const RADIUS: i64 = 512;
 const ALPHABET: usize = (2 * RADIUS + 1) as usize + 1;
 const ESCAPE: usize = ALPHABET - 1;
 /// SZ's default 1-D block size.
-pub const BLOCK_SIZE: usize = 128;
+const BLOCK_SIZE: usize = 128;
 
 /// Wire modes, selected by the byte after the value count. Mode 0 stores
 /// raw values (ε = 0), mode 1 is the legacy Huffman-per-symbol format
@@ -557,7 +557,7 @@ fn reassemble(n: usize, zero: &Bitset, sign: &Bitset, recon_logs: &[f64]) -> Vec
 }
 
 /// Number of maximal runs of identical consecutive values.
-pub fn constant_runs(values: &[f64]) -> usize {
+fn constant_runs(values: &[f64]) -> usize {
     if values.is_empty() {
         return 0;
     }

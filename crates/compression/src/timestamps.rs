@@ -6,27 +6,20 @@
 //! comparable. This module implements that header and the segment-length
 //! stream; the per-method payloads carry only model coefficients.
 //!
-//! For *irregular* timestamp vectors (raw CSV timelines, streaming segment
-//! boundaries) the module also provides a self-delimiting stream codec,
-//! [`encode_stream`]/[`decode_stream`], with two wire formats behind a
-//! leading tag byte (DESIGN.md §11):
-//!
-//! * [`STREAM_VARBIT`] — Gorilla-style per-value delta-of-delta prefix
-//!   codes, one branch per value: the scalar baseline, and the cheaper
-//!   format for short vectors.
-//! * [`STREAM_BLOCKED`] — zigzagged delta-of-deltas packed through
-//!   [`crate::block`]'s 128-value lanes: branch-free word-level unpacking
-//!   on the decode hot path.
+//! For *irregular* timestamp vectors the module also provides a
+//! self-delimiting stream codec, [`StreamAppender`]/[`decode_stream`]:
+//! Gorilla-style per-value delta-of-delta prefix codes behind a leading tag
+//! byte (DESIGN.md §11). The store's Gorilla chunks write their timestamps
+//! through it.
 
 use crate::bitstream::{BitReader, BitWriter};
-use crate::block;
 use crate::reader::ByteReader;
 
 /// Header length: 4-byte start + 2-byte interval.
-pub const HEADER_LEN: usize = 6;
+pub(crate) const HEADER_LEN: usize = 6;
 
 /// The maximum representable segment length (16-bit).
-pub const MAX_SEGMENT_LEN: usize = u16::MAX as usize;
+const MAX_SEGMENT_LEN: usize = u16::MAX as usize;
 
 /// Errors from timestamp (de)serialization.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,7 +31,7 @@ pub enum TimestampError {
     /// The buffer is too short to contain a header.
     Truncated,
     /// A timestamp stream is structurally invalid (bad tag, inconsistent
-    /// counts, malformed block payload).
+    /// counts).
     Corrupt(String),
 }
 
@@ -53,22 +46,16 @@ impl std::fmt::Display for TimestampError {
     }
 }
 
-impl From<block::BlockError> for TimestampError {
-    fn from(e: block::BlockError) -> Self {
-        TimestampError::Corrupt(e.to_string())
-    }
-}
-
 impl std::error::Error for TimestampError {}
 
-/// Encodes the header. Panics only via [`try_encode_header`]'s error path in
+/// Encodes the header. Panics only via `try_encode_header`'s error path in
 /// release use; prefer the fallible variant for untrusted input.
 pub fn encode_header(start: i64, interval: i64) -> Vec<u8> {
     try_encode_header(start, interval).expect("timestamps in range for generated data")
 }
 
 /// Fallible header encoding.
-pub fn try_encode_header(start: i64, interval: i64) -> Result<Vec<u8>, TimestampError> {
+pub(crate) fn try_encode_header(start: i64, interval: i64) -> Result<Vec<u8>, TimestampError> {
     let start32 = i32::try_from(start).map_err(|_| TimestampError::StartOutOfRange(start))?;
     let interval16 =
         u16::try_from(interval).map_err(|_| TimestampError::IntervalOutOfRange(interval))?;
@@ -78,16 +65,9 @@ pub fn try_encode_header(start: i64, interval: i64) -> Result<Vec<u8>, Timestamp
     Ok(out)
 }
 
-/// Decodes a header, returning `(start, interval, rest)`.
-pub fn decode_header(buf: &[u8]) -> Result<(i64, i64, &[u8]), TimestampError> {
-    let mut r = ByteReader::new(buf);
-    let (start, interval) = read_header(&mut r)?;
-    Ok((start, interval, r.rest()))
-}
-
 /// Decodes a header from a [`ByteReader`], leaving the cursor at the
 /// first payload byte.
-pub fn read_header(r: &mut ByteReader<'_>) -> Result<(i64, i64), TimestampError> {
+pub(crate) fn read_header(r: &mut ByteReader<'_>) -> Result<(i64, i64), TimestampError> {
     let start = r.read_i32_le().map_err(|_| TimestampError::Truncated)? as i64;
     let interval = r.read_u16_le().map_err(|_| TimestampError::Truncated)? as i64;
     Ok((start, interval))
@@ -96,7 +76,7 @@ pub fn read_header(r: &mut ByteReader<'_>) -> Result<(i64, i64), TimestampError>
 /// Splits a logical segment length into 16-bit chunks, since the paper's
 /// format caps segment lengths at 16 bits. Each chunk shares the segment's
 /// model, so splitting preserves the reconstruction exactly.
-pub fn split_segment_len(len: usize) -> impl Iterator<Item = u16> {
+pub(crate) fn split_segment_len(len: usize) -> impl Iterator<Item = u16> {
     let full = len / MAX_SEGMENT_LEN;
     let rem = (len % MAX_SEGMENT_LEN) as u16;
     std::iter::repeat_n(u16::MAX, full).chain((rem > 0).then_some(rem))
@@ -106,44 +86,11 @@ pub fn split_segment_len(len: usize) -> impl Iterator<Item = u16> {
 // Irregular timestamp streams
 // ---------------------------------------------------------------------------
 
-/// Stream tag: per-value variable-width delta-of-delta prefix codes.
-pub const STREAM_VARBIT: u8 = 0;
-/// Stream tag: blocked delta-of-delta packing via [`crate::block`].
-pub const STREAM_BLOCKED: u8 = 1;
+/// Stream tag of the varbit format, the only one written. Any other tag
+/// decodes as [`TimestampError::Corrupt`].
+const STREAM_VARBIT: u8 = 0;
 
-/// Below this length the per-block metadata of the blocked format costs
-/// more than it saves, so [`encode_stream`] emits varbit instead.
-const BLOCKED_MIN_LEN: usize = 64;
-
-/// Encodes an arbitrary (not necessarily regular) timestamp vector,
-/// choosing the blocked format for long vectors and varbit for short ones.
-/// The output is self-delimiting: [`decode_stream`] leaves the cursor at
-/// the first byte past the stream.
-pub fn encode_stream(ts: &[i64]) -> Vec<u8> {
-    if ts.len() < BLOCKED_MIN_LEN {
-        encode_stream_varbit(ts)
-    } else {
-        encode_stream_blocked(ts)
-    }
-}
-
-/// Encodes with the blocked format unconditionally: zigzagged
-/// delta-of-deltas through [`block::encode_u64s`]'s 128-value lanes.
-pub fn encode_stream_blocked(ts: &[i64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 + ts.len());
-    out.push(STREAM_BLOCKED);
-    out.extend_from_slice(&(ts.len() as u32).to_le_bytes());
-    if ts.is_empty() {
-        return out;
-    }
-    out.extend_from_slice(&ts[0].to_le_bytes());
-    out.extend_from_slice(&block::encode_u64s(&block::dod_encode(ts)));
-    out
-}
-
-/// Encodes with the varbit format unconditionally by folding `ts` through
-/// one [`StreamAppender`]. This is the scalar per-value-branch baseline
-/// the codecs bench measures the blocked format against.
+/// Encodes a whole vector by folding `ts` through one [`StreamAppender`].
 pub fn encode_stream_varbit(ts: &[i64]) -> Vec<u8> {
     let mut a = StreamAppender::with_capacity(ts.len());
     for &t in ts {
@@ -152,10 +99,10 @@ pub fn encode_stream_varbit(ts: &[i64]) -> Vec<u8> {
     a.into_bytes()
 }
 
-/// The one [`STREAM_VARBIT`] encoder: a stateful point-at-a-time
-/// delta-of-delta coder. [`encode_stream_varbit`] folds a whole vector
-/// through it and the store appends chunk timestamps to it; both decode
-/// through the ordinary [`decode_stream`].
+/// The one stream encoder: a stateful point-at-a-time delta-of-delta
+/// coder. [`encode_stream_varbit`] folds a whole vector through it and the
+/// store appends chunk timestamps to it; both decode through the ordinary
+/// [`decode_stream`].
 #[derive(Debug, Clone)]
 pub struct StreamAppender {
     first: i64,
@@ -187,16 +134,6 @@ impl StreamAppender {
             count: 0,
             bits: BitWriter::with_capacity(n * 10),
         }
-    }
-
-    /// Number of timestamps appended so far.
-    pub fn len(&self) -> usize {
-        self.count
-    }
-
-    /// True when no timestamp has been appended.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
     }
 
     /// Appends one timestamp (must be pushed in stream order): one
@@ -246,36 +183,15 @@ impl StreamAppender {
     }
 }
 
-/// Decodes a stream produced by any `encode_stream*` variant, dispatching
-/// on the tag byte. Total: malformed input returns
-/// [`TimestampError::Corrupt`] / [`TimestampError::Truncated`], never
-/// panics, and preallocation is bounded by the remaining input.
+/// Decodes a stream written by [`StreamAppender`]. Total: malformed input,
+/// an unknown tag included, returns [`TimestampError::Corrupt`] /
+/// [`TimestampError::Truncated`], never panics, and preallocation is
+/// bounded by the remaining input.
 pub fn decode_stream(r: &mut ByteReader<'_>) -> Result<Vec<i64>, TimestampError> {
     let tag = r.read_u8().map_err(|_| TimestampError::Truncated)?;
-    match tag {
-        STREAM_VARBIT => decode_stream_varbit(r),
-        STREAM_BLOCKED => decode_stream_blocked(r),
-        other => Err(TimestampError::Corrupt(format!("unknown stream tag {other}"))),
+    if tag != STREAM_VARBIT {
+        return Err(TimestampError::Corrupt(format!("unknown stream tag {tag}")));
     }
-}
-
-fn decode_stream_blocked(r: &mut ByteReader<'_>) -> Result<Vec<i64>, TimestampError> {
-    let n = r.read_u32_le().map_err(|_| TimestampError::Truncated)? as usize;
-    if n == 0 {
-        return Ok(Vec::new());
-    }
-    let first = r.read_u64_le().map_err(|_| TimestampError::Truncated)? as i64;
-    let ts = block::decode_dod_stream(r, first)?;
-    if ts.len() != n {
-        return Err(TimestampError::Corrupt(format!(
-            "stream announces {n} timestamps but block payload holds {}",
-            ts.len()
-        )));
-    }
-    Ok(ts)
-}
-
-fn decode_stream_varbit(r: &mut ByteReader<'_>) -> Result<Vec<i64>, TimestampError> {
     let n = r.read_u32_le().map_err(|_| TimestampError::Truncated)? as usize;
     if n == 0 {
         return Ok(Vec::new());
@@ -321,10 +237,9 @@ mod tests {
     fn header_roundtrip() {
         let b = encode_header(1_672_531_200, 900);
         assert_eq!(b.len(), HEADER_LEN);
-        let (s, i, rest) = decode_header(&b).unwrap();
-        assert_eq!(s, 1_672_531_200);
-        assert_eq!(i, 900);
-        assert!(rest.is_empty());
+        let mut r = ByteReader::new(&b);
+        assert_eq!(read_header(&mut r).unwrap(), (1_672_531_200, 900));
+        assert!(r.is_empty());
     }
 
     #[test]
@@ -339,7 +254,8 @@ mod tests {
 
     #[test]
     fn truncated_header() {
-        assert_eq!(decode_header(&[1, 2, 3]).unwrap_err(), TimestampError::Truncated);
+        let mut r = ByteReader::new(&[1, 2, 3]);
+        assert_eq!(read_header(&mut r).unwrap_err(), TimestampError::Truncated);
     }
 
     fn sample_timestamps(n: usize) -> Vec<i64> {
@@ -351,22 +267,20 @@ mod tests {
     }
 
     #[test]
-    fn stream_roundtrip_both_formats() {
+    fn stream_roundtrip() {
         for n in [0usize, 1, 2, 63, 64, 128, 129, 1000] {
             let ts = sample_timestamps(n);
-            for bytes in [encode_stream_varbit(&ts), encode_stream_blocked(&ts), encode_stream(&ts)]
-            {
-                let mut r = ByteReader::new(&bytes);
-                assert_eq!(decode_stream(&mut r).unwrap(), ts, "n={n} tag={}", bytes[0]);
-                assert!(r.is_empty(), "stream must be self-delimiting");
-            }
+            let bytes = encode_stream_varbit(&ts);
+            let mut r = ByteReader::new(&bytes);
+            assert_eq!(decode_stream(&mut r).unwrap(), ts, "n={n}");
+            assert!(r.is_empty(), "stream must be self-delimiting");
         }
     }
 
     #[test]
     fn stream_is_self_delimiting_mid_buffer() {
         let ts = sample_timestamps(300);
-        let mut buf = encode_stream(&ts);
+        let mut buf = encode_stream_varbit(&ts);
         buf.extend_from_slice(&[0xAA, 0xBB, 0xCC]);
         let mut r = ByteReader::new(&buf);
         assert_eq!(decode_stream(&mut r).unwrap(), ts);
@@ -376,44 +290,37 @@ mod tests {
     #[test]
     fn stream_compresses_regular_series() {
         let ts = sample_timestamps(4096);
-        let blocked = encode_stream_blocked(&ts);
         let varbit = encode_stream_varbit(&ts);
-        // Near-regular cadence: both formats should land far below the
-        // 8 bytes/value of raw i64 storage.
-        assert!(blocked.len() < ts.len() * 2, "blocked: {} bytes", blocked.len());
+        // Near-regular cadence: far below the 8 bytes/value of raw i64
+        // storage.
         assert!(varbit.len() < ts.len() * 2, "varbit: {} bytes", varbit.len());
     }
 
     #[test]
     fn stream_extreme_values_survive() {
         let ts = vec![i64::MIN, i64::MAX, 0, -1, 1, i64::MAX / 2, i64::MIN / 2];
-        for bytes in [encode_stream_varbit(&ts), encode_stream_blocked(&ts)] {
-            let mut r = ByteReader::new(&bytes);
-            assert_eq!(decode_stream(&mut r).unwrap(), ts);
-        }
+        let bytes = encode_stream_varbit(&ts);
+        assert_eq!(decode_stream(&mut ByteReader::new(&bytes)).unwrap(), ts);
     }
 
     #[test]
     fn stream_rejects_malformed() {
         let ts = sample_timestamps(200);
-        for bytes in [encode_stream_varbit(&ts), encode_stream_blocked(&ts)] {
-            // Any truncation point must error, never panic.
-            for cut in [0, 1, 4, 8, 13, bytes.len() - 1] {
-                let mut r = ByteReader::new(&bytes[..cut]);
-                assert!(decode_stream(&mut r).is_err(), "cut={cut}");
-            }
+        let bytes = encode_stream_varbit(&ts);
+        // Any truncation point must error, never panic.
+        for cut in [0, 1, 4, 8, 13, bytes.len() - 1] {
+            let mut r = ByteReader::new(&bytes[..cut]);
+            assert!(decode_stream(&mut r).is_err(), "cut={cut}");
         }
-        // Unknown tag.
-        let mut bad = encode_stream(&ts);
-        bad[0] = 9;
-        assert!(matches!(
-            decode_stream(&mut ByteReader::new(&bad)),
-            Err(TimestampError::Corrupt(_))
-        ));
-        // Count / payload mismatch on the blocked format.
-        let mut bad = encode_stream_blocked(&ts);
-        bad[1..5].copy_from_slice(&300u32.wrapping_add(5).to_le_bytes());
-        assert!(decode_stream(&mut ByteReader::new(&bad)).is_err());
+        // Unknown tags, 1 included: the retired blocked format's tag.
+        for tag in [1, 9] {
+            let mut bad = bytes.clone();
+            bad[0] = tag;
+            assert!(matches!(
+                decode_stream(&mut ByteReader::new(&bad)),
+                Err(TimestampError::Corrupt(_))
+            ));
+        }
         // Hostile count over a tiny varbit payload.
         let mut hostile = vec![STREAM_VARBIT];
         hostile.extend_from_slice(&u32::MAX.to_le_bytes());
@@ -431,7 +338,6 @@ mod tests {
             for &t in &ts {
                 a.push(t);
             }
-            assert_eq!(a.len(), n);
             assert_eq!(a.into_bytes(), encode_stream_varbit(&ts), "n={n}");
         }
         // Extreme dods exercise the raw 64-bit escape.

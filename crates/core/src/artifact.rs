@@ -33,8 +33,7 @@
 //! into a sharded path `root/<hh>/<hash16>.state`, so a second run with
 //! the same configuration finds every model the first run fitted.
 
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::path::PathBuf;
 
 use compression::bitstream::{BitReader, BitWriter};
 use compression::deflate;
@@ -43,10 +42,10 @@ use neural::state::StateDict;
 use neural::tensor::Tensor;
 
 /// File magic: **T**ime **S**eries **M**odel **A**rtifact.
-pub const MAGIC: [u8; 4] = *b"TSMA";
+const MAGIC: [u8; 4] = *b"TSMA";
 
 /// Current artifact format version. Readers reject anything else.
-pub const FORMAT_VERSION: u16 = 1;
+const FORMAT_VERSION: u16 = 1;
 
 /// Header flag bit 0: the body is deflate-compressed.
 const FLAG_DEFLATE: u16 = 1;
@@ -304,7 +303,7 @@ impl ArtifactKey {
     /// The canonical string the on-disk address is derived from. Every
     /// field is spelled out, so any configuration difference changes the
     /// address and a stale artifact can never be mistaken for a match.
-    pub fn canonical(&self) -> String {
+    pub(crate) fn canonical(&self) -> String {
         let mut s = format!(
             "dataset={};model={};seed={};profile={};k={};h={};dseed={}",
             self.dataset,
@@ -349,7 +348,7 @@ impl ArtifactKey {
     /// uses to rediscover what a store holds without recomputing keys
     /// from experiment configs. Returns `None` for anything that is not
     /// a complete canonical string.
-    pub fn parse_canonical(s: &str) -> Option<ArtifactKey> {
+    fn parse_canonical(s: &str) -> Option<ArtifactKey> {
         let mut dataset = None;
         let mut model = None;
         let mut seed = None;
@@ -406,8 +405,6 @@ impl ArtifactKey {
 #[derive(Debug)]
 pub struct ArtifactStore {
     root: PathBuf,
-    saves: AtomicUsize,
-    loads: AtomicUsize,
 }
 
 impl ArtifactStore {
@@ -415,16 +412,11 @@ impl ArtifactStore {
     pub fn open(root: impl Into<PathBuf>) -> Result<Self, ArtifactError> {
         let root = root.into();
         std::fs::create_dir_all(&root)?;
-        Ok(ArtifactStore { root, saves: AtomicUsize::new(0), loads: AtomicUsize::new(0) })
-    }
-
-    /// The store's root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
+        Ok(ArtifactStore { root })
     }
 
     /// The on-disk path an artifact for `key` lives at.
-    pub fn path_for(&self, key: &ArtifactKey) -> PathBuf {
+    fn path_for(&self, key: &ArtifactKey) -> PathBuf {
         let hash = key.hash64();
         self.root.join(format!("{:02x}", hash >> 56)).join(format!("{hash:016x}.state"))
     }
@@ -458,7 +450,6 @@ impl ArtifactStore {
         let keytmp = path.with_extension("key.tmp");
         std::fs::write(&keytmp, key.canonical())?;
         std::fs::rename(&keytmp, &keyfile)?;
-        self.saves.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -486,7 +477,6 @@ impl ArtifactStore {
             Err(e) => return Err(e.into()),
         };
         let dict = decode_state(&bytes)?;
-        self.loads.fetch_add(1, Ordering::Relaxed);
         Ok(Some(dict))
     }
 
@@ -527,16 +517,6 @@ impl ArtifactStore {
         keys.sort_by_key(|k| k.canonical());
         Ok(keys)
     }
-
-    /// Number of artifacts saved through this handle.
-    pub fn saves(&self) -> usize {
-        self.saves.load(Ordering::Relaxed)
-    }
-
-    /// Number of artifacts successfully loaded through this handle.
-    pub fn loads(&self) -> usize {
-        self.loads.load(Ordering::Relaxed)
-    }
 }
 
 #[cfg(test)]
@@ -571,7 +551,7 @@ mod tests {
     }
 
     fn temp_store() -> ArtifactStore {
-        use std::sync::atomic::AtomicUsize;
+        use std::sync::atomic::{AtomicUsize, Ordering};
         static N: AtomicUsize = AtomicUsize::new(0);
         let dir = std::env::temp_dir().join(format!(
             "artifact-test-{}-{}",
@@ -667,11 +647,9 @@ mod tests {
         store.save(&k, &dict).unwrap();
         let back = store.load(&k).unwrap().expect("saved artifact must load");
         assert!(back.entries().eq(dict.entries()), "loaded dict must match saved dict");
-        assert_eq!(store.saves(), 1);
-        assert_eq!(store.loads(), 1);
         // A different key misses.
         assert!(store.load(&key(41)).unwrap().is_none());
-        std::fs::remove_dir_all(store.root()).ok();
+        std::fs::remove_dir_all(&store.root).ok();
     }
 
     #[test]
@@ -685,7 +663,7 @@ mod tests {
         bytes[last] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
         assert!(store.load(&k).is_err(), "corrupt file must not load silently");
-        std::fs::remove_dir_all(store.root()).ok();
+        std::fs::remove_dir_all(&store.root).ok();
     }
 
     #[test]
@@ -751,7 +729,7 @@ mod tests {
         let listed = store.list_keys().unwrap();
         assert_eq!(listed.len(), saved.len() - 1);
         assert!(!listed.contains(&saved[0]));
-        std::fs::remove_dir_all(store.root()).ok();
+        std::fs::remove_dir_all(&store.root).ok();
     }
 
     #[test]

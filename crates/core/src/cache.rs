@@ -64,11 +64,6 @@ impl TransformKey {
     pub fn new(dataset: DatasetKind, subset: Subset, method: Method, epsilon: f64) -> Self {
         TransformKey { dataset, subset, method, eps_bits: epsilon.to_bits() }
     }
-
-    /// The error bound this key was built with.
-    pub fn epsilon(&self) -> f64 {
-        f64::from_bits(self.eps_bits)
-    }
 }
 
 /// Size and segment statistics of the compressed frame behind a cached
@@ -203,13 +198,9 @@ impl TransformCache {
     }
 
     /// Number of cached entries.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.slots.read().len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.slots.read().is_empty()
     }
 }
 
@@ -235,14 +226,14 @@ pub struct DatasetCache {
 
 impl DatasetCache {
     /// Creates an empty cache.
-    pub fn new() -> Self {
+    fn new() -> Self {
         DatasetCache::default()
     }
 
     /// Returns the cached dataset, generating it via `generate` on first
     /// request. Failed generations are not cached: the error propagates to
     /// the requesting task and a later request retries.
-    pub fn get_or_try_generate<F>(
+    fn get_or_try_generate<F>(
         &self,
         kind: DatasetKind,
         generate: F,
@@ -271,12 +262,14 @@ impl DatasetCache {
     }
 
     /// Number of requests served from the cache.
-    pub fn hits(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn hits(&self) -> usize {
         self.hits.load(Ordering::Relaxed)
     }
 
     /// Number of requests that generated a dataset.
-    pub fn misses(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn misses(&self) -> usize {
         self.misses.load(Ordering::Relaxed)
     }
 }
@@ -595,7 +588,7 @@ mod tests {
     #[test]
     fn epsilon_round_trips_through_key() {
         let k = TransformKey::new(DatasetKind::ETTm1, Subset::Full, Method::Sz, 0.015);
-        assert_eq!(k.epsilon(), 0.015);
+        assert_eq!(f64::from_bits(k.eps_bits), 0.015);
         let k2 = TransformKey::new(DatasetKind::ETTm1, Subset::Full, Method::Sz, 0.015);
         assert_eq!(k, k2);
     }

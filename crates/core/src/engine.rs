@@ -21,9 +21,7 @@
 //! * **Deterministic assembly** — outcomes are returned in task order
 //!   regardless of thread count, dispatch order, or chaos schedule, so
 //!   results are byte-identical across `threads = 1` and `threads = N`.
-//! * **Cooperative cancellation** — a shared [`CancelFlag`] makes every
-//!   not-yet-started task resolve to `Failed(ScenarioError::Cancelled)`;
-//!   running tasks finish normally. A per-task completion callback
+//! * **Progress** — a per-task completion callback
 //!   ([`Engine::on_task_done`]) is the hook observability layers (and the
 //!   `repro` progress display) plug into.
 //!
@@ -41,8 +39,7 @@
 
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use compression::codec::PeblcCompressor;
 use compression::{Gorilla, Method};
@@ -116,7 +113,7 @@ pub enum TaskOutcome<R> {
 
 impl<R> TaskOutcome<R> {
     /// The completion status (outcome without the payload).
-    pub fn status(&self) -> TaskStatus {
+    fn status(&self) -> TaskStatus {
         match self {
             TaskOutcome::Ok(_) => TaskStatus::Ok,
             TaskOutcome::Failed(_) => TaskStatus::Failed,
@@ -174,30 +171,6 @@ pub struct TaskEvent {
     pub coord: TaskCoord,
     /// How the task completed.
     pub status: TaskStatus,
-}
-
-/// Shared cooperative-cancellation flag. Clone it, hand one copy to the
-/// engine, and call [`CancelFlag::cancel`] from anywhere (another thread,
-/// a signal handler, a progress callback); tasks that have not started
-/// when the flag is observed resolve to `Failed(ScenarioError::Cancelled)`.
-#[derive(Debug, Clone, Default)]
-pub struct CancelFlag(Arc<AtomicBool>);
-
-impl CancelFlag {
-    /// Creates an unset flag.
-    pub fn new() -> Self {
-        CancelFlag::default()
-    }
-
-    /// Requests cancellation of all not-yet-started tasks.
-    pub fn cancel(&self) {
-        self.0.store(true, Ordering::Relaxed);
-    }
-
-    /// Whether cancellation has been requested.
-    pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::Relaxed)
-    }
 }
 
 /// A typed, schedulable unit of grid work. Implementations carry their
@@ -288,14 +261,14 @@ impl GridTask for CompressionTask {
 /// One Gorilla-baseline measurement: the lossless CR of a dataset's
 /// target channel (the Figure-2 baseline line).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GorillaTask {
+struct GorillaTask {
     /// Dataset.
     pub dataset: DatasetKind,
 }
 
 impl GorillaTask {
     /// One task per configured dataset.
-    pub fn enumerate(config: &GridConfig) -> Vec<GorillaTask> {
+    fn enumerate(config: &GridConfig) -> Vec<GorillaTask> {
         config.datasets.iter().map(|&dataset| GorillaTask { dataset }).collect()
     }
 }
@@ -530,7 +503,7 @@ fn outcome_to_records(
 
 /// Successful records plus structured failures from one engine run, in
 /// task order. A partial grid still renders: consumers read `records`
-/// and surface `failures` via [`crate::results::failure_summary`].
+/// and surface `failures` via `crate::results::failure_summary`.
 #[derive(Debug)]
 pub struct GridReport<R> {
     /// Outputs of successful tasks, in task order.
@@ -542,7 +515,7 @@ pub struct GridReport<R> {
 impl<R> GridReport<R> {
     /// Logs a failure summary to stderr (no-op when everything
     /// succeeded) and returns the successful records.
-    pub fn into_records_logged(self, label: &str) -> Vec<R> {
+    pub(crate) fn into_records_logged(self, label: &str) -> Vec<R> {
         if let Some(summary) = crate::results::failure_summary(&self.failures) {
             eprintln!("[{label}] {summary}");
         }
@@ -558,28 +531,19 @@ type ProgressFn<'a> = Box<dyn Fn(TaskEvent) + Sync + 'a>;
 pub struct Engine<'c> {
     ctx: &'c GridContext,
     threads: usize,
-    cancel: CancelFlag,
     on_done: Option<ProgressFn<'c>>,
     chaos: Option<ChaosSchedule>,
-    chaos_seed: Option<u64>,
 }
 
 /// Event density (% of tasks) for schedules built from
-/// [`GridConfig::chaos_seed`] / [`Engine::chaos_seed`].
+/// [`GridConfig::chaos_seed`].
 const SEEDED_CHAOS_INTENSITY_PCT: usize = 20;
 
 impl<'c> Engine<'c> {
     /// Creates an engine over a shared context, taking thread count and
     /// chaos seed from its configuration.
     pub fn new(ctx: &'c GridContext) -> Self {
-        Engine {
-            ctx,
-            threads: ctx.config.threads,
-            cancel: CancelFlag::new(),
-            on_done: None,
-            chaos: None,
-            chaos_seed: ctx.config.chaos_seed,
-        }
+        Engine { ctx, threads: ctx.config.threads, on_done: None, chaos: None }
     }
 
     /// Overrides the worker-thread count (the outcome *order* is
@@ -589,25 +553,11 @@ impl<'c> Engine<'c> {
         self
     }
 
-    /// Installs a shared cancellation flag.
-    pub fn cancel_flag(mut self, flag: CancelFlag) -> Self {
-        self.cancel = flag;
-        self
-    }
-
     /// Installs an explicit chaos schedule for the next run. Events are
     /// one-shot: a schedule is consumed by the run that fires it, so
     /// build a fresh engine (or schedule) per chaos run.
     pub fn chaos_schedule(mut self, schedule: ChaosSchedule) -> Self {
         self.chaos = Some(schedule);
-        self
-    }
-
-    /// Derives a fresh seeded chaos schedule for each run (the task
-    /// count is only known at `run` time). Overridden by an explicit
-    /// [`Engine::chaos_schedule`].
-    pub fn chaos_seed(mut self, seed: u64) -> Self {
-        self.chaos_seed = Some(seed);
         self
     }
 
@@ -632,9 +582,7 @@ impl<'c> Engine<'c> {
     /// Runs every task, returning one [`TaskOutcome`] per task **in task
     /// order**, independent of thread count, dispatch order, and chaos
     /// schedule. A panicking task is trapped by the worker
-    /// (`catch_unwind`) and yields `Panicked`; tasks observed after
-    /// cancellation yield `Failed(ScenarioError::Cancelled)` without
-    /// running. An empty task list returns immediately without spawning
+    /// (`catch_unwind`) and yields `Panicked`. An empty task list returns immediately without spawning
     /// workers (so `threads = 0, n = 0` is a no-op, not a panic).
     pub fn run<T: GridTask>(&self, tasks: &[T]) -> Vec<TaskOutcome<T::Output>> {
         self.run_with_stats(tasks).0
@@ -659,7 +607,7 @@ impl<'c> Engine<'c> {
         let order: Vec<usize> = first.into_iter().chain(rest).collect();
         // A seeded schedule is built fresh per run (its one-shot flags
         // start clean); an explicit schedule takes precedence.
-        let seeded = match (&self.chaos, self.chaos_seed) {
+        let seeded = match (&self.chaos, self.ctx.config.chaos_seed) {
             (None, Some(seed)) => Some(ChaosSchedule::seeded(seed, n, SEEDED_CHAOS_INTENSITY_PCT)),
             _ => None,
         };
@@ -713,14 +661,6 @@ impl<'c> Engine<'c> {
 
     fn run_one<T: GridTask>(&self, task: &T) -> TaskOutcome<T::Output> {
         let family = task.family();
-        if self.cancel.is_cancelled() {
-            telemetry::counter_add(
-                "engine_tasks_total",
-                &[("family", family), ("status", "cancelled")],
-                1,
-            );
-            return TaskOutcome::Failed(ScenarioError::Cancelled);
-        }
         // The label strings are only materialised while telemetry records;
         // the disabled path pays one atomic load and no formatting.
         let span = if telemetry::enabled() {
@@ -922,42 +862,6 @@ mod tests {
         assert!(report.failures[1].panicked);
         assert_eq!(report.failures[1].coord.seed, Some(4));
         assert!(report.failures[1].error.contains("scripted panic"));
-    }
-
-    #[test]
-    fn cancel_flag_skips_not_yet_started_tasks() {
-        let ctx = test_ctx();
-        let tasks = scripted(20, &[], &[]);
-        let flag = CancelFlag::new();
-        flag.cancel();
-        let outcomes = Engine::new(&ctx).threads(2).cancel_flag(flag).run(&tasks);
-        assert!(outcomes
-            .iter()
-            .all(|o| matches!(o, TaskOutcome::Failed(ScenarioError::Cancelled))));
-    }
-
-    #[test]
-    fn cancel_mid_run_stops_remaining_tasks() {
-        let ctx = test_ctx();
-        let tasks = scripted(50, &[], &[]);
-        let flag = CancelFlag::new();
-        let trigger = flag.clone();
-        let outcomes = Engine::new(&ctx)
-            .threads(1)
-            .cancel_flag(flag)
-            .on_task_done(move |e| {
-                if e.index == 9 {
-                    trigger.cancel();
-                }
-            })
-            .run(&tasks);
-        let completed = outcomes.iter().filter(|o| o.is_ok()).count();
-        let cancelled = outcomes
-            .iter()
-            .filter(|o| matches!(o, TaskOutcome::Failed(ScenarioError::Cancelled)))
-            .count();
-        assert_eq!(completed, 10, "tasks 0..=9 ran before the flag was set");
-        assert_eq!(cancelled, 40);
     }
 
     #[test]

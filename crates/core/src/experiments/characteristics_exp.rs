@@ -24,7 +24,7 @@ use crate::results::mean;
 use crate::scenario::ScenarioError;
 
 /// The five characteristics of Table 6.
-pub const TABLE6_FEATURES: [&str; 5] =
+const TABLE6_FEATURES: [&str; 5] =
     ["max_kl_shift", "max_level_shift", "seas_acf1", "max_var_shift", "unitroot_pp"];
 
 /// One analysed cell.
@@ -191,7 +191,7 @@ pub fn run(exp: &ForecastExperiment) -> CharacteristicsExperiment {
 
 impl CharacteristicsExperiment {
     /// Figure 5: characteristics ranked by mean |SHAP|.
-    pub fn top_shap(&self, k: usize) -> Vec<(String, f64)> {
+    fn top_shap(&self, k: usize) -> Vec<(String, f64)> {
         let mut v = self.shap_importance.clone();
         v.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite"));
         v.truncate(k);
@@ -199,7 +199,7 @@ impl CharacteristicsExperiment {
     }
 
     /// Table 4: characteristics ranked by |Spearman correlation| to TFE.
-    pub fn top_correlations(&self, k: usize) -> Vec<(String, f64)> {
+    fn top_correlations(&self, k: usize) -> Vec<(String, f64)> {
         let mut v = self.correlations.clone();
         v.sort_by(|a, b| b.1.abs().partial_cmp(&a.1.abs()).expect("finite"));
         v.truncate(k);
@@ -209,7 +209,7 @@ impl CharacteristicsExperiment {
     /// Table 6: mean (sd) of relative differences (%) of the five key
     /// characteristics over rows with TFE ≤ 0.1, per (dataset, method).
     #[allow(clippy::type_complexity)]
-    pub fn table6(&self) -> Vec<(DatasetKind, Method, [(f64, f64); 5])> {
+    fn table6(&self) -> Vec<(DatasetKind, Method, [(f64, f64); 5])> {
         let mut keys: Vec<(DatasetKind, Method)> = Vec::new();
         for r in &self.rows {
             if !keys.contains(&(r.dataset, r.method)) {

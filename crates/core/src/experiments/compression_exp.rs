@@ -59,7 +59,7 @@ pub fn run(config: &GridConfig) -> CompressionExperiment {
 
 impl CompressionExperiment {
     /// A partial-grid note listing failed cells, or the empty string.
-    pub fn failure_note(&self) -> String {
+    fn failure_note(&self) -> String {
         match failure_summary(&self.failures) {
             Some(s) => format!("\nPartial grid: {s}\n"),
             None => String::new(),

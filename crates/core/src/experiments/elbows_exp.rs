@@ -93,7 +93,7 @@ pub fn run(exp: &ForecastExperiment) -> Table5 {
 
 impl Table5 {
     /// Per-method averages across datasets (the paper's AVG column).
-    pub fn averages(&self) -> Vec<(Method, f64, f64, f64, f64)> {
+    fn averages(&self) -> Vec<(Method, f64, f64, f64, f64)> {
         let methods: Vec<Method> = {
             let mut ms: Vec<Method> = self.cells.iter().map(|c| c.method).collect();
             ms.dedup();

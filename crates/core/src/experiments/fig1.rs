@@ -52,7 +52,7 @@ pub fn run(dataset: DatasetKind, segment_len: usize, seed: u64) -> Fig1 {
 }
 
 /// Renders a value range as an ASCII sparkline.
-pub fn sparkline(values: &[f64]) -> String {
+fn sparkline(values: &[f64]) -> String {
     const LEVELS: &[char] = &['.', ':', '-', '=', '+', '*', '#', '@'];
     let lo = values.iter().cloned().fold(f64::INFINITY, f64::min);
     let hi = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);

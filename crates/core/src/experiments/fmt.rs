@@ -2,35 +2,25 @@
 
 /// A simple aligned text table.
 #[derive(Debug, Default, Clone)]
-pub struct TextTable {
+pub(crate) struct TextTable {
     header: Vec<String>,
     rows: Vec<Vec<String>>,
 }
 
 impl TextTable {
     /// Creates a table with the given column headers.
-    pub fn new(header: &[&str]) -> Self {
+    pub(crate) fn new(header: &[&str]) -> Self {
         TextTable { header: header.iter().map(|s| s.to_string()).collect(), rows: Vec::new() }
     }
 
     /// Appends a row (must match the header width).
-    pub fn row(&mut self, cells: Vec<String>) {
+    pub(crate) fn row(&mut self, cells: Vec<String>) {
         assert_eq!(cells.len(), self.header.len(), "row width mismatch");
         self.rows.push(cells);
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders with aligned columns.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let cols = self.header.len();
         let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();
         for row in &self.rows {
@@ -59,7 +49,7 @@ impl TextTable {
 }
 
 /// Rounds to `d` decimals for display.
-pub fn f(v: f64, d: usize) -> String {
+pub(crate) fn f(v: f64, d: usize) -> String {
     format!("{v:.d$}")
 }
 
@@ -78,7 +68,7 @@ mod tests {
         assert!(lines[0].starts_with("name"));
         assert!(lines[1].starts_with("---"));
         assert!(lines[2].contains("alpha"));
-        assert_eq!(t.len(), 2);
+        assert_eq!(t.rows.len(), 2);
     }
 
     #[test]

@@ -55,7 +55,7 @@ impl ForecastExperiment {
     /// A partial-grid note listing failed tasks, or the empty string when
     /// every task completed. Appended to the renders so a report built
     /// from a degraded grid says so.
-    pub fn failure_note(&self) -> String {
+    fn failure_note(&self) -> String {
         match failure_summary(&self.failures) {
             Some(s) => format!("\nPartial grid: {s}\n"),
             None => String::new(),
@@ -63,7 +63,7 @@ impl ForecastExperiment {
     }
 
     /// Baseline metrics for a (dataset, model).
-    pub fn baseline(&self, dataset: DatasetKind, model: ModelKind) -> Option<MetricSet> {
+    fn baseline(&self, dataset: DatasetKind, model: ModelKind) -> Option<MetricSet> {
         self.forecast
             .iter()
             .find(|r| r.dataset == dataset && r.model == model && r.method.is_none())
@@ -71,7 +71,7 @@ impl ForecastExperiment {
     }
 
     /// TFE (RMSE-based, Eq. 2) for a transformed cell.
-    pub fn tfe_of(
+    pub(crate) fn tfe_of(
         &self,
         dataset: DatasetKind,
         model: ModelKind,
@@ -89,7 +89,7 @@ impl ForecastExperiment {
     }
 
     /// TE (NRMSE) of a compression cell.
-    pub fn te_of(&self, dataset: DatasetKind, method: Method, epsilon: f64) -> Option<f64> {
+    pub(crate) fn te_of(&self, dataset: DatasetKind, method: Method, epsilon: f64) -> Option<f64> {
         self.compression
             .iter()
             .find(|r| {
@@ -99,7 +99,7 @@ impl ForecastExperiment {
     }
 
     /// CR of a compression cell.
-    pub fn cr_of(&self, dataset: DatasetKind, method: Method, epsilon: f64) -> Option<f64> {
+    pub(crate) fn cr_of(&self, dataset: DatasetKind, method: Method, epsilon: f64) -> Option<f64> {
         self.compression
             .iter()
             .find(|r| {
@@ -189,7 +189,7 @@ impl ForecastExperiment {
 
     /// Figure 6 data: mean TFE per (dataset, model), averaged over methods
     /// and error bounds up to `cap` per dataset.
-    pub fn fig6_means(&self, caps: &[(DatasetKind, f64)]) -> Vec<(DatasetKind, ModelKind, f64)> {
+    fn fig6_means(&self, caps: &[(DatasetKind, f64)]) -> Vec<(DatasetKind, ModelKind, f64)> {
         let mut out = Vec::new();
         for &d in &self.config.datasets {
             let cap = caps.iter().find(|(k, _)| *k == d).map(|(_, c)| *c).unwrap_or(0.2);
@@ -225,7 +225,7 @@ impl ForecastExperiment {
     }
 
     /// Table 7: best model per dataset by baseline NRMSE and by mean TFE.
-    pub fn table7(&self, caps: &[(DatasetKind, f64)]) -> Vec<(DatasetKind, ModelKind, ModelKind)> {
+    fn table7(&self, caps: &[(DatasetKind, f64)]) -> Vec<(DatasetKind, ModelKind, ModelKind)> {
         let fig6 = self.fig6_means(caps);
         self.config
             .datasets

@@ -5,7 +5,7 @@ pub mod characteristics_exp;
 pub mod compression_exp;
 pub mod elbows_exp;
 pub mod fig1;
-pub mod fmt;
+mod fmt;
 pub mod forecasting_exp;
 pub mod retrain_exp;
 pub mod table1;

@@ -72,19 +72,6 @@ pub fn run(config: &GridConfig, models: &[ModelKind], error_bounds: &[f64]) -> F
 }
 
 impl Fig7 {
-    /// Mean TFE per (dataset, model, ε), averaged across methods.
-    pub fn mean_tfe(&self, dataset: DatasetKind, model: ModelKind, epsilon: f64) -> Option<f64> {
-        let vals: Vec<f64> = self
-            .points
-            .iter()
-            .filter(|p| {
-                p.dataset == dataset && p.model == model && (p.epsilon - epsilon).abs() < 1e-9
-            })
-            .map(|p| p.tfe)
-            .collect();
-        (!vals.is_empty()).then(|| mean(&vals))
-    }
-
     /// Renders the figure data.
     pub fn render(&self) -> String {
         let mut t = TextTable::new(&["Dataset", "Model", "Method", "EB", "TFE"]);
@@ -137,7 +124,7 @@ pub fn render_grid(report: &GridReport<ForecastRecord>) -> String {
 /// §4.4.1 decomposition analysis: RMSE between the trend (and remainder)
 /// components of the original and decompressed series, averaged across
 /// methods. Returns `(trend_rmse, remainder_rmse)`.
-pub fn decomposition_impact(
+fn decomposition_impact(
     config: &GridConfig,
     dataset: DatasetKind,
     epsilon: f64,
@@ -191,7 +178,6 @@ mod tests {
         let fig = run(&c, &[ModelKind::GBoost], &[0.1, 0.3]);
         // 1 dataset x 1 model x 3 methods x 2 eps
         assert_eq!(fig.points.len(), 6);
-        assert!(fig.mean_tfe(DatasetKind::ETTm1, ModelKind::GBoost, 0.1).is_some());
         assert!(fig.render().contains("Figure 7"));
     }
 

@@ -162,14 +162,14 @@ impl GridConfig {
     }
 
     /// Generates a dataset under this grid's options.
-    pub fn dataset(&self, kind: DatasetKind) -> MultiSeries {
+    pub(crate) fn dataset(&self, kind: DatasetKind) -> MultiSeries {
         tsdata::datasets::generate(kind, self.gen_options())
     }
 
     /// Splits a dataset with the paper's 70/10/20 proportions. A series
     /// too short to split is an error the engine records as a per-task
     /// failure, not a panic.
-    pub fn split(&self, data: &MultiSeries) -> Result<Split, ScenarioError> {
+    pub(crate) fn split(&self, data: &MultiSeries) -> Result<Split, ScenarioError> {
         Ok(split(data, SplitSpec::default())?)
     }
 

@@ -23,14 +23,9 @@ pub mod scenario;
 pub mod sched;
 pub mod storeback;
 
-pub use artifact::{decode_state, encode_state, ArtifactError, ArtifactKey, ArtifactStore};
-pub use cache::{GridContext, Subset, TransformCache, TransformKey};
-pub use engine::{
-    CancelFlag, CompressionTask, Engine, ForecastTask, GorillaTask, GridReport, GridTask,
-    RetrainTask, TaskCoord, TaskEvent, TaskOutcome, TaskStatus,
-};
+pub use artifact::{decode_state, encode_state};
+pub use cache::{GridContext, Subset};
+pub use engine::{Engine, ForecastTask, GridReport, GridTask, RetrainTask, TaskCoord, TaskOutcome};
 pub use grid::GridConfig;
-pub use results::{failure_summary, CompressionRecord, ForecastRecord, TaskFailure};
-pub use scenario::{transform_series, ScenarioOutcome};
-pub use sched::{ChaosEvent, ChaosSchedule, RunStats};
-pub use storeback::StoreBackend;
+pub use results::{ForecastRecord, TaskFailure};
+pub use scenario::ScenarioOutcome;

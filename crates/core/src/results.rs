@@ -67,7 +67,7 @@ const SUMMARY_MAX_LINES: usize = 8;
 /// panicked) plus the first error per coordinate — or `None` when every
 /// task succeeded. Coordinates appear in task order, capped at
 /// `SUMMARY_MAX_LINES` lines.
-pub fn failure_summary(failures: &[TaskFailure]) -> Option<String> {
+pub(crate) fn failure_summary(failures: &[TaskFailure]) -> Option<String> {
     if failures.is_empty() {
         return None;
     }
@@ -99,7 +99,7 @@ pub fn failure_summary(failures: &[TaskFailure]) -> Option<String> {
 }
 
 /// Mean of a slice; NaN-free inputs assumed. Returns 0.0 when empty.
-pub fn mean(xs: &[f64]) -> f64 {
+pub(crate) fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
         0.0
     } else {
@@ -108,7 +108,7 @@ pub fn mean(xs: &[f64]) -> f64 {
 }
 
 /// Median of a slice (average of middle two for even lengths).
-pub fn median(xs: &[f64]) -> f64 {
+pub(crate) fn median(xs: &[f64]) -> f64 {
     if xs.is_empty() {
         return 0.0;
     }
@@ -123,7 +123,7 @@ pub fn median(xs: &[f64]) -> f64 {
 }
 
 /// Half-width of a normal-approximation 95% confidence interval.
-pub fn ci95_half_width(xs: &[f64]) -> f64 {
+pub(crate) fn ci95_half_width(xs: &[f64]) -> f64 {
     let n = xs.len();
     if n < 2 {
         return 0.0;

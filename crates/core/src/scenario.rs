@@ -7,7 +7,7 @@
 //! compares those scores to the raw-input baseline.
 //!
 //! [`score_scenario_with`] is the one Algorithm-1 scorer: callers fit the
-//! model, then score it through a [`TransformProvider`]. The grid's
+//! model, then score it through a `TransformProvider`. The grid's
 //! [`ForecastTask`](crate::engine::ForecastTask) passes a provider backed
 //! by the shared transform cache; a stand-alone caller passes a direct
 //! [`transform_series`] call. The §4.4.1 scenario — retraining on
@@ -30,7 +30,7 @@ use crate::cache::Subset;
 /// [`TransformCache`](crate::cache::TransformCache); a stand-alone caller
 /// backs it with a direct [`transform_series`] call:
 /// `|_, c, eps| transform_series(&test, c, eps).map(Arc::new)`.
-pub type TransformProvider<'a> =
+type TransformProvider<'a> =
     dyn FnMut(Subset, &dyn PeblcCompressor, f64) -> Result<Arc<MultiSeries>, ScenarioError> + 'a;
 
 /// Errors from running the scenario.
@@ -48,8 +48,6 @@ pub enum ScenarioError {
     NoWindows,
     /// A task referenced a method absent from the grid configuration.
     UnknownMethod(&'static str),
-    /// The task was skipped because the engine's cancel flag was set.
-    Cancelled,
 }
 
 impl std::fmt::Display for ScenarioError {
@@ -63,7 +61,6 @@ impl std::fmt::Display for ScenarioError {
             ScenarioError::UnknownMethod(name) => {
                 write!(f, "method {name} is not in the grid configuration")
             }
-            ScenarioError::Cancelled => write!(f, "task cancelled before it started"),
         }
     }
 }
@@ -118,7 +115,7 @@ pub fn transform_series(
 /// per-window [`Forecaster::predict`], and metrics accumulate in window
 /// order, so the metrics (and any CSV derived from them) are identical
 /// for every batch size and equal to a per-window loop's.
-pub fn score_windows(
+pub(crate) fn score_windows(
     model: &dyn Forecaster,
     windows: &[Window],
     scaler: &StandardScaler,
@@ -159,7 +156,7 @@ pub struct ScenarioOutcome {
 /// and every `(compressor, ε)` combination, requesting each transformed
 /// test subset ([`Subset::Test`]) from `transform`. `eval_stride`
 /// subsamples test windows (1 = every window, as in the paper; larger =
-/// faster); `batch_size` stages inference as in [`score_windows`].
+/// faster); `batch_size` stages inference as in `score_windows`.
 #[allow(clippy::too_many_arguments)]
 pub fn score_scenario_with(
     model: &dyn Forecaster,

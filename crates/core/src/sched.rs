@@ -111,16 +111,10 @@ impl ChaosSchedule {
         self.events.is_empty()
     }
 
-    /// Number of scheduled events matching a predicate (for test
-    /// assertions on seeded schedules).
-    pub fn count(&self, pred: impl Fn(ChaosEvent) -> bool) -> usize {
-        self.events.values().filter(|(e, _)| pred(*e)).count()
-    }
-
     /// Consumes the event for `index`, if one is scheduled and has not
     /// fired yet. One-shot: the second pickup of a kill-rescued task
     /// sees `None` and runs normally.
-    pub fn take(&self, index: usize) -> Option<ChaosEvent> {
+    fn take(&self, index: usize) -> Option<ChaosEvent> {
         let (event, fired) = self.events.get(&index)?;
         if fired.swap(true, Ordering::AcqRel) {
             return None;

@@ -3,7 +3,7 @@
 //!
 //! Each `(dataset, subset)` is ingested into the [`TsStore`] exactly once,
 //! losslessly (Gorilla chunks), on first use. A transform then *streams*
-//! the chunk-backed [`store::StoreSeries`] through the online PMC/Swing encoders
+//! the chunk-backed [`store::iter::StoreSeries`] through the online PMC/Swing encoders
 //! ([`compression::compress_source`]) — the sealed staging chunks are
 //! decoded one at a time and re-encoded under `(method, ε)` without ever
 //! materialising the channel (SZ, being block-based, is the documented
@@ -54,7 +54,7 @@ impl Default for StoreBackend {
 
 impl StoreBackend {
     /// Creates a backend over an empty store with the given seal policy.
-    pub fn new(config: StoreConfig) -> Self {
+    fn new(config: StoreConfig) -> Self {
         StoreBackend { store: TsStore::new(config), ingested: Mutex::new(HashSet::new()) }
     }
 
@@ -67,7 +67,7 @@ impl StoreBackend {
     /// once per `(dataset, subset)`; later calls are no-ops. The lock
     /// covers the whole ingest so concurrent first requests cannot race a
     /// half-ingested subset.
-    pub fn ensure_ingested(
+    fn ensure_ingested(
         &self,
         dataset: DatasetKind,
         subset: Subset,
@@ -91,7 +91,7 @@ impl StoreBackend {
     /// [`transform_with_stats`](crate::cache::transform_with_stats) path
     /// produces — bit for bit, since the streaming encoders match the
     /// batch frames.
-    pub fn transform_with_stats(
+    pub(crate) fn transform_with_stats(
         &self,
         dataset: DatasetKind,
         subset: Subset,

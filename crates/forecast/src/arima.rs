@@ -20,7 +20,7 @@ use crate::stateio;
 
 /// ARIMA configuration.
 #[derive(Debug, Clone)]
-pub struct ArimaConfig {
+pub(crate) struct ArimaConfig {
     /// Input window length `k`.
     pub input_len: usize,
     /// Forecast horizon `h`.
@@ -76,25 +76,15 @@ struct Fitted {
 
 /// The ARIMA forecaster.
 #[derive(Debug, Clone)]
-pub struct Arima {
+pub(crate) struct Arima {
     config: ArimaConfig,
     fitted: Option<Fitted>,
 }
 
 impl Arima {
     /// Creates an unfitted model.
-    pub fn new(config: ArimaConfig) -> Self {
+    pub(crate) fn new(config: ArimaConfig) -> Self {
         Arima { config, fitted: None }
-    }
-
-    /// The `(p, d, q)` order selected by AIC, if fitted.
-    pub fn order(&self) -> Option<(usize, usize, usize)> {
-        self.fitted.as_ref().map(|f| (f.p, f.d, f.q))
-    }
-
-    /// The AIC of the selected model, if fitted.
-    pub fn aic(&self) -> Option<f64> {
-        self.fitted.as_ref().map(|f| f.aic)
     }
 
     fn seasonal_at(fourier: &[(f64, f64)], season: usize, t: f64) -> f64 {
@@ -524,7 +514,7 @@ mod tests {
             ..Default::default()
         });
         model.fit(&uni(train.to_vec()), &uni(test.to_vec())).unwrap();
-        let (p, _, _) = model.order().expect("fitted");
+        let p = model.fitted.as_ref().expect("fitted").p;
         assert!(p >= 1, "AR(1) data should select p >= 1");
         let window = test[..96].to_vec();
         let pred = model.predict(&[window]).unwrap();
@@ -612,14 +602,5 @@ mod tests {
         assert_eq!(Arima::difference(&[1.0, 3.0, 6.0, 10.0], 1), vec![2.0, 3.0, 4.0]);
         assert_eq!(Arima::difference(&[1.0, 3.0, 6.0, 10.0], 2), vec![1.0, 1.0]);
         assert_eq!(Arima::difference(&[5.0, 5.0], 0), vec![5.0, 5.0]);
-    }
-
-    #[test]
-    fn aic_is_exposed() {
-        let data = ar1_series(1200, 0.6, 3);
-        let mut model = Arima::new(ArimaConfig { season: None, ..Default::default() });
-        assert!(model.aic().is_none());
-        model.fit(&uni(data.clone()), &uni(data)).unwrap();
-        assert!(model.aic().expect("fitted").is_finite());
     }
 }

@@ -1,8 +1,8 @@
 //! Window batching shared by deep-model *training* and grid *evaluation*.
 //!
-//! Historically this machinery lived inside [`crate::deep`] and only fed
+//! Historically this machinery lived inside `crate::deep` and only fed
 //! the training loops; the batched inference path (DESIGN.md §13) stages
-//! evaluation windows through the same [`BatchSpec`]/[`make_batches`]
+//! evaluation windows through the same `BatchSpec`/`make_batches`
 //! helpers so the two paths cannot drift. [`stage_windows`] is the
 //! evaluation-side entry point: it stacks raw (unscaled) window rows into
 //! the `[n, input_len]` matrices [`crate::model::Forecaster::predict_batch`]
@@ -16,7 +16,7 @@ use tsdata::split::{make_windows, Window};
 /// One training batch: inputs `[batch, input_len]` and targets
 /// `[batch, horizon]`, both in scaled units (target channel only).
 #[derive(Debug, Clone)]
-pub struct Batch {
+pub(crate) struct Batch {
     /// Scaled input windows.
     pub x: Tensor,
     /// Scaled target horizons.
@@ -25,7 +25,7 @@ pub struct Batch {
 
 /// Batching limits for deep-model training.
 #[derive(Debug, Clone, Copy)]
-pub struct BatchSpec {
+pub(crate) struct BatchSpec {
     /// Window stride over the training series.
     pub stride: usize,
     /// Samples per batch.
@@ -41,7 +41,7 @@ impl Default for BatchSpec {
 }
 
 /// Builds scaled batches from a series' target channel.
-pub fn make_batches(
+pub(crate) fn make_batches(
     data: &MultiSeries,
     scaler: &StandardScaler,
     input_len: usize,
@@ -87,7 +87,7 @@ pub fn stage_windows(windows: &[Window], input_len: usize) -> Tensor {
 /// Applies the target-channel scaler to every row of a window matrix —
 /// the batched equivalent of the `scaler.transform(0, window)` each
 /// per-window `predict` performs, bit-identical row for row.
-pub fn scale_rows(windows: &Tensor, scaler: &StandardScaler) -> Tensor {
+pub(crate) fn scale_rows(windows: &Tensor, scaler: &StandardScaler) -> Tensor {
     let (n, k) = windows.shape();
     let mut out = Tensor::zeros(n, k);
     for r in 0..n {
@@ -99,7 +99,7 @@ pub fn scale_rows(windows: &Tensor, scaler: &StandardScaler) -> Tensor {
 
 /// Inverse-scales every row of a scaled prediction matrix back to
 /// original units (the batched equivalent of `scaler.inverse(0, pred)`).
-pub fn inverse_rows(pred: &Tensor, scaler: &StandardScaler) -> Tensor {
+pub(crate) fn inverse_rows(pred: &Tensor, scaler: &StandardScaler) -> Tensor {
     let (n, h) = pred.shape();
     let mut out = Tensor::zeros(n, h);
     for r in 0..n {

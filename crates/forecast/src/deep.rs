@@ -8,12 +8,12 @@
 use tsdata::scaler::StandardScaler;
 use tsdata::series::MultiSeries;
 
-pub use crate::batch::{make_batches, stage_windows, Batch, BatchSpec};
+pub(crate) use crate::batch::{make_batches, Batch, BatchSpec};
 use crate::model::ForecastError;
 
 /// Validates the training series is long enough and fits the scaler on the
 /// raw training target.
-pub fn prepare(
+pub(crate) fn prepare(
     train: &MultiSeries,
     input_len: usize,
     horizon: usize,

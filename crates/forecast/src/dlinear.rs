@@ -21,7 +21,7 @@ use crate::stateio;
 
 /// DLinear configuration.
 #[derive(Debug, Clone)]
-pub struct DLinearConfig {
+pub(crate) struct DLinearConfig {
     /// Input window length `k`.
     pub input_len: usize,
     /// Forecast horizon `h`.
@@ -84,7 +84,7 @@ fn decompose_batch(x: &Tensor, kernel: usize) -> (Tensor, Tensor) {
 }
 
 /// The DLinear forecaster.
-pub struct DLinear {
+pub(crate) struct DLinear {
     config: DLinearConfig,
     store: ParamStore,
     trend_layer: Option<Dense>,
@@ -94,7 +94,7 @@ pub struct DLinear {
 
 impl DLinear {
     /// Creates an unfitted model.
-    pub fn new(config: DLinearConfig) -> Self {
+    pub(crate) fn new(config: DLinearConfig) -> Self {
         DLinear {
             config,
             store: ParamStore::new(),

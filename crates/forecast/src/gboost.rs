@@ -3,7 +3,7 @@
 //! characteristics analysis trains to predict TFE (§4.3.1).
 //!
 //! Two layers: [`GbmRegressor`] is a generic `X → y` booster (reused by
-//! `analysis::shap`); [`GBoost`] wraps it as a [`Forecaster`] using lag
+//! `analysis::shap`); `GBoost` wraps it as a [`Forecaster`] using lag
 //! features and direct multi-step prediction (one booster per horizon
 //! step).
 
@@ -132,7 +132,7 @@ impl GbmRegressor {
     }
 
     /// Rebuilds an ensemble from stored parts (state deserialization).
-    pub fn from_parts(
+    fn from_parts(
         base: f64,
         trees: Vec<RegressionTree>,
         learning_rate: f64,
@@ -144,7 +144,7 @@ impl GbmRegressor {
 
 /// Forecasting configuration for [`GBoost`].
 #[derive(Debug, Clone)]
-pub struct GBoostConfig {
+pub(crate) struct GBoostConfig {
     /// Input window length `k`.
     pub input_len: usize,
     /// Forecast horizon `h`.
@@ -172,7 +172,7 @@ impl Default for GBoostConfig {
 /// The GBoost forecaster: one booster per horizon step on lag features,
 /// so predictions never feed back into the window.
 #[derive(Debug, Clone)]
-pub struct GBoost {
+pub(crate) struct GBoost {
     config: GBoostConfig,
     /// One booster per horizon step.
     models: Vec<GbmRegressor>,
@@ -181,7 +181,7 @@ pub struct GBoost {
 
 impl GBoost {
     /// Creates an unfitted model.
-    pub fn new(config: GBoostConfig) -> Self {
+    pub(crate) fn new(config: GBoostConfig) -> Self {
         GBoost { config, models: Vec::new(), scaler: None }
     }
 }

@@ -23,7 +23,7 @@ use crate::stateio;
 
 /// GRU forecaster configuration.
 #[derive(Debug, Clone)]
-pub struct GruConfig {
+pub(crate) struct GruConfig {
     /// Input window length `k`.
     pub input_len: usize,
     /// Forecast horizon `h`.
@@ -58,7 +58,7 @@ struct Net {
 }
 
 /// The GRU forecaster.
-pub struct Gru {
+pub(crate) struct Gru {
     config: GruConfig,
     store: ParamStore,
     net: Option<Net>,
@@ -67,7 +67,7 @@ pub struct Gru {
 
 impl Gru {
     /// Creates an unfitted model.
-    pub fn new(config: GruConfig) -> Self {
+    pub(crate) fn new(config: GruConfig) -> Self {
         Gru { config, store: ParamStore::new(), net: None, scaler: None }
     }
 

@@ -6,7 +6,7 @@
 use crate::seq2seq::{Seq2Seq, Seq2SeqConfig};
 
 /// Builds the Informer forecaster.
-pub fn informer(config: Seq2SeqConfig) -> Seq2Seq {
+pub(crate) fn informer(config: Seq2SeqConfig) -> Seq2Seq {
     Seq2Seq::new("Informer", config)
 }
 

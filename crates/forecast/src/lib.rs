@@ -5,45 +5,44 @@
 //!
 //! | Paper name | Module | Substrate |
 //! |---|---|---|
-//! | Arima | [`arima`] | Hannan–Rissanen + AIC + Fourier terms |
+//! | Arima | `arima` | Hannan–Rissanen + AIC + Fourier terms |
 //! | GBoost | [`gboost`] | CART trees ([`tree`]) + gradient boosting |
 //! | DLinear | [`dlinear`] | moving-average decomposition + linear heads |
-//! | GRU | [`gru`] | encoder-decoder GRU (`neural::rnn`) |
-//! | NBeats | [`nbeats`] | residual MLP stacks |
-//! | Transformer | [`transformer`] | full attention [`seq2seq`] |
-//! | Informer | [`informer`] | ProbSparse attention [`seq2seq`] |
+//! | GRU | `gru` | encoder-decoder GRU (`neural::rnn`) |
+//! | NBeats | `nbeats` | residual MLP stacks |
+//! | Transformer | `transformer` | full attention `seq2seq` |
+//! | Informer | `informer` | ProbSparse attention `seq2seq` |
 //!
 //! [`build_model`] constructs any of them from a [`model::ModelKind`] with
 //! either laptop-scale (`Profile::Fast`) or paper-scale (`Profile::Paper`)
 //! hyperparameters.
 
-pub mod arima;
+mod arima;
 pub mod batch;
-pub mod deep;
+mod deep;
 pub mod dlinear;
 pub mod gboost;
-pub mod gru;
-pub mod informer;
+mod gru;
+mod informer;
 pub mod linalg;
 pub mod model;
-pub mod nbeats;
-pub mod seq2seq;
+mod nbeats;
+mod seq2seq;
 mod stateio;
-pub mod transformer;
+mod transformer;
 pub mod tree;
 
-pub use arima::{Arima, ArimaConfig};
-pub use dlinear::{DLinear, DLinearConfig};
-pub use gboost::{GBoost, GBoostConfig, GbmConfig, GbmRegressor};
-pub use gru::{Gru, GruConfig};
 pub use model::{ForecastError, Forecaster, ModelKind, ALL_MODELS};
-pub use neural::state::{StateDict, StateError};
-pub use seq2seq::{Seq2Seq, Seq2SeqConfig};
-pub use tree::{Node, RegressionTree, TreeConfig};
+pub use neural::state::StateDict;
 
 use neural::train::TrainConfig;
 
-use crate::deep::BatchSpec;
+use arima::{Arima, ArimaConfig};
+use deep::BatchSpec;
+use dlinear::{DLinear, DLinearConfig};
+use gboost::{GBoost, GBoostConfig, GbmConfig};
+use gru::{Gru, GruConfig};
+use seq2seq::Seq2SeqConfig;
 
 /// Model size / compute profile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -7,7 +7,7 @@ use crate::model::ForecastError;
 
 /// Solves `A x = b` for square `A` (row-major, `n×n`) by Gaussian
 /// elimination with partial pivoting.
-pub fn solve(a: &[f64], b: &[f64], n: usize) -> Result<Vec<f64>, ForecastError> {
+fn solve(a: &[f64], b: &[f64], n: usize) -> Result<Vec<f64>, ForecastError> {
     assert_eq!(a.len(), n * n, "A must be n×n");
     assert_eq!(b.len(), n, "b must be length n");
     let mut m = a.to_vec();

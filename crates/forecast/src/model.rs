@@ -106,7 +106,7 @@ pub trait Forecaster: Send {
 /// Checks the batch-matrix invariant shared by every
 /// [`Forecaster::predict_batch`] implementation: each row is one window of
 /// the target channel, so the column count must equal `input_len`.
-pub fn validate_batch(windows: &Tensor, input_len: usize) -> Result<(), ForecastError> {
+pub(crate) fn validate_batch(windows: &Tensor, input_len: usize) -> Result<(), ForecastError> {
     if windows.cols() != input_len {
         return Err(ForecastError::BadWindow { expected: input_len, got: windows.cols() });
     }
@@ -114,7 +114,7 @@ pub fn validate_batch(windows: &Tensor, input_len: usize) -> Result<(), Forecast
 }
 
 /// Checks the standard window invariants shared by all implementations.
-pub fn validate_window(inputs: &[Vec<f64>], input_len: usize) -> Result<(), ForecastError> {
+pub(crate) fn validate_window(inputs: &[Vec<f64>], input_len: usize) -> Result<(), ForecastError> {
     if inputs.is_empty() {
         return Err(ForecastError::BadWindow { expected: input_len, got: 0 });
     }

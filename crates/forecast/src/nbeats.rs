@@ -20,7 +20,7 @@ use crate::stateio;
 
 /// NBeats configuration (generic architecture).
 #[derive(Debug, Clone)]
-pub struct NBeatsConfig {
+pub(crate) struct NBeatsConfig {
     /// Input window length `k`.
     pub input_len: usize,
     /// Forecast horizon `h`.
@@ -113,7 +113,7 @@ impl Block {
 }
 
 /// The NBeats forecaster.
-pub struct NBeats {
+pub(crate) struct NBeats {
     config: NBeatsConfig,
     store: ParamStore,
     blocks: Vec<Block>,
@@ -122,7 +122,7 @@ pub struct NBeats {
 
 impl NBeats {
     /// Creates an unfitted model.
-    pub fn new(config: NBeatsConfig) -> Self {
+    pub(crate) fn new(config: NBeatsConfig) -> Self {
         NBeats { config, store: ParamStore::new(), blocks: Vec::new(), scaler: None }
     }
 

@@ -37,7 +37,7 @@ use crate::stateio;
 
 /// Configuration shared by Transformer and Informer.
 #[derive(Debug, Clone)]
-pub struct Seq2SeqConfig {
+pub(crate) struct Seq2SeqConfig {
     /// Input window length `k`.
     pub input_len: usize,
     /// Forecast horizon `h`.
@@ -66,7 +66,7 @@ pub struct Seq2SeqConfig {
 
 impl Seq2SeqConfig {
     /// Vanilla Transformer preset.
-    pub fn transformer() -> Self {
+    pub(crate) fn transformer() -> Self {
         Seq2SeqConfig {
             input_len: 96,
             horizon: 24,
@@ -84,7 +84,7 @@ impl Seq2SeqConfig {
     }
 
     /// Informer preset: ProbSparse encoder self-attention (factor 5).
-    pub fn informer() -> Self {
+    pub(crate) fn informer() -> Self {
         Seq2SeqConfig {
             encoder_attention: AttentionKind::ProbSparse { factor: 5 },
             ..Self::transformer()
@@ -147,7 +147,7 @@ fn tile_rows(t: &Tensor, n: usize) -> Tensor {
 
 /// The generic encoder-decoder forecaster. Instantiated via
 /// [`crate::transformer::transformer`] and [`crate::informer::informer`].
-pub struct Seq2Seq {
+pub(crate) struct Seq2Seq {
     name: &'static str,
     config: Seq2SeqConfig,
     store: ParamStore,
@@ -157,13 +157,14 @@ pub struct Seq2Seq {
 
 impl Seq2Seq {
     /// Creates an unfitted model with the given display name.
-    pub fn new(name: &'static str, config: Seq2SeqConfig) -> Self {
+    pub(crate) fn new(name: &'static str, config: Seq2SeqConfig) -> Self {
         assert!(config.label_len <= config.input_len, "label_len exceeds input_len");
         Seq2Seq { name, config, store: ParamStore::new(), net: None, scaler: None }
     }
 
     /// The configuration in use.
-    pub fn config(&self) -> &Seq2SeqConfig {
+    #[cfg(test)]
+    pub(crate) fn config(&self) -> &Seq2SeqConfig {
         &self.config
     }
 

@@ -14,9 +14,9 @@ use tsdata::scaler::StandardScaler;
 use crate::model::ForecastError;
 
 /// Name of the model-kind tag entry.
-pub(crate) const MODEL_TAG: &str = "meta.model";
+const MODEL_TAG: &str = "meta.model";
 /// Prefix under which network parameters are stored.
-pub(crate) const PARAM_PREFIX: &str = "param.";
+const PARAM_PREFIX: &str = "param.";
 
 pub(crate) fn invalid(msg: impl Into<String>) -> ForecastError {
     ForecastError::InvalidState(msg.into())

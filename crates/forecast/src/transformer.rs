@@ -5,7 +5,7 @@
 use crate::seq2seq::{Seq2Seq, Seq2SeqConfig};
 
 /// Builds the Transformer forecaster.
-pub fn transformer(config: Seq2SeqConfig) -> Seq2Seq {
+pub(crate) fn transformer(config: Seq2SeqConfig) -> Seq2Seq {
     Seq2Seq::new("Transformer", config)
 }
 

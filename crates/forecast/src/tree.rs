@@ -47,7 +47,7 @@ pub enum Node {
 /// (the strategy of LightGBM-class boosters). Built once per ensemble and
 /// shared by every tree.
 #[derive(Debug, Clone)]
-pub struct BinnedFeatures {
+pub(crate) struct BinnedFeatures {
     /// Per-sample per-feature bin codes, row-major `n × f`.
     codes: Vec<u16>,
     /// Split thresholds: `thresholds[f][b]` separates bins `<= b` from
@@ -60,7 +60,7 @@ pub struct BinnedFeatures {
 impl BinnedFeatures {
     /// Bins `features` (row-major `n × f`) into at most `max_bins`
     /// quantile bins per feature.
-    pub fn build(features: &[f64], n: usize, f: usize, max_bins: usize) -> Self {
+    pub(crate) fn build(features: &[f64], n: usize, f: usize, max_bins: usize) -> Self {
         assert_eq!(features.len(), n * f, "feature matrix shape");
         let max_bins = max_bins.clamp(2, u16::MAX as usize);
         let mut thresholds = Vec::with_capacity(f);
@@ -92,11 +92,6 @@ impl BinnedFeatures {
         }
         BinnedFeatures { codes, thresholds, n, f }
     }
-
-    /// Number of features.
-    pub fn num_features(&self) -> usize {
-        self.f
-    }
 }
 
 /// A fitted regression tree (arena storage, root at index 0).
@@ -111,7 +106,7 @@ impl RegressionTree {
     ///
     /// # Panics
     /// Panics if `nodes` is empty or any split child index is out of range.
-    pub fn from_parts(nodes: Vec<Node>, num_features: usize) -> Self {
+    pub(crate) fn from_parts(nodes: Vec<Node>, num_features: usize) -> Self {
         assert!(!nodes.is_empty(), "tree needs at least one node");
         for node in &nodes {
             if let Node::Split { left, right, .. } = node {
@@ -210,7 +205,7 @@ impl RegressionTree {
     /// Fits a tree on pre-binned features over the given sample indices,
     /// using histogram split finding (O(samples·features) per node instead
     /// of per-node sorting).
-    pub fn fit_binned(
+    pub(crate) fn fit_binned(
         binned: &BinnedFeatures,
         targets: &[f64],
         indices: Vec<usize>,
@@ -316,7 +311,8 @@ impl RegressionTree {
     }
 
     /// Maximum depth actually reached.
-    pub fn depth(&self) -> usize {
+    #[cfg(test)]
+    fn depth(&self) -> usize {
         fn rec(nodes: &[Node], i: usize) -> usize {
             match &nodes[i] {
                 Node::Leaf { .. } => 0,
@@ -485,7 +481,7 @@ mod tests {
     fn binning_respects_max_bins() {
         let x: Vec<f64> = (0..1000).map(|i| i as f64).collect();
         let b = BinnedFeatures::build(&x, 1000, 1, 16);
-        assert_eq!(b.num_features(), 1);
+        assert_eq!(b.f, 1);
         let max_code = (0..1000).map(|i| b.codes[i]).max().expect("non-empty");
         assert!(max_code < 16, "code {max_code}");
     }

@@ -91,53 +91,15 @@ impl ParamStore {
     }
 
     /// Global L2 norm of all gradients (for clipping).
-    pub fn grad_norm(&self) -> f64 {
+    pub(crate) fn grad_norm(&self) -> f64 {
         self.grads.iter().map(|g| g.data().iter().map(|v| v * v).sum::<f64>()).sum::<f64>().sqrt()
     }
 
     /// Scales all gradients (for clipping).
-    pub fn scale_grads(&mut self, k: f64) {
+    pub(crate) fn scale_grads(&mut self, k: f64) {
         for g in &mut self.grads {
             g.scale_assign(k);
         }
-    }
-
-    /// Snapshots every parameter as a named tensor, in registration order.
-    pub fn export_state(&self) -> crate::state::StateDict {
-        let mut dict = crate::state::StateDict::new();
-        for (name, value) in self.names.iter().zip(&self.values) {
-            dict.insert(name, value.clone());
-        }
-        dict
-    }
-
-    /// Restores every parameter value from a snapshot.
-    ///
-    /// Strict both ways: each registered parameter must be present with a
-    /// matching shape, and the snapshot may not hold extra entries. A
-    /// failed import leaves the store untouched.
-    pub fn import_state(
-        &mut self,
-        dict: &crate::state::StateDict,
-    ) -> Result<(), crate::state::StateError> {
-        for (name, value) in self.names.iter().zip(&self.values) {
-            let (r, c) = value.shape();
-            dict.require(name, r, c)?;
-        }
-        if dict.len() != self.values.len() {
-            let known: std::collections::HashSet<&str> =
-                self.names.iter().map(String::as_str).collect();
-            let extra = dict
-                .entries()
-                .map(|(n, _)| n)
-                .find(|n| !known.contains(n))
-                .unwrap_or("<duplicate registration>");
-            return Err(crate::state::StateError::Unexpected(extra.to_string()));
-        }
-        for (name, value) in self.names.iter().zip(&mut self.values) {
-            *value = dict.get(name).expect("validated above").clone();
-        }
-        Ok(())
     }
 
     fn accumulate(&mut self, id: ParamId, grad: &Tensor) {
@@ -156,9 +118,9 @@ enum Op {
     Sub(NodeId, NodeId),
     Mul(NodeId, NodeId),
     Scale(NodeId, f64),
-    /// The constant is applied at construction; backward only routes the
-    /// gradient, so the field is write-only after the forward pass.
-    AddConst(NodeId, #[allow(dead_code)] f64),
+    /// `a + k` for a constant `k`, applied at construction; backward only
+    /// routes the gradient, so the tape keeps no copy of `k`.
+    AddConst(NodeId),
     Tanh(NodeId),
     Sigmoid(NodeId),
     Relu(NodeId),
@@ -166,8 +128,6 @@ enum Op {
     HStack(NodeId, NodeId),
     VStack(NodeId, NodeId),
     SliceRows(NodeId, usize, usize),
-    /// Mean of all elements, a `1×1` scalar.
-    MeanAll(NodeId),
     /// Mean squared error against a constant target, a `1×1` scalar.
     Mse(NodeId, Tensor),
     /// Inverted dropout with a precomputed 0/`1/keep` mask.
@@ -230,16 +190,6 @@ impl Graph {
         &self.nodes[id.0].value
     }
 
-    /// Number of nodes on the tape.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// True if the tape is empty.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
     /// Adds a constant input.
     pub fn input(&mut self, value: Tensor) -> NodeId {
         self.push(value, Op::Input)
@@ -251,7 +201,7 @@ impl Graph {
     }
 
     /// Matrix product.
-    pub fn matmul(&mut self, a: NodeId, b: NodeId) -> NodeId {
+    pub(crate) fn matmul(&mut self, a: NodeId, b: NodeId) -> NodeId {
         let v = self.value(a).matmul(self.value(b));
         self.push(v, Op::MatMul(a, b))
     }
@@ -263,7 +213,7 @@ impl Graph {
     }
 
     /// Adds a `[1,c]` bias row to every row of `a`.
-    pub fn add_row(&mut self, a: NodeId, bias: NodeId) -> NodeId {
+    pub(crate) fn add_row(&mut self, a: NodeId, bias: NodeId) -> NodeId {
         let (n, c) = self.value(a).shape();
         assert_eq!(self.value(bias).shape(), (1, c), "bias must be 1x{c}");
         let mut v = self.value(a).clone();
@@ -281,43 +231,43 @@ impl Graph {
     }
 
     /// Elementwise (Hadamard) product.
-    pub fn mul(&mut self, a: NodeId, b: NodeId) -> NodeId {
+    pub(crate) fn mul(&mut self, a: NodeId, b: NodeId) -> NodeId {
         let v = self.value(a).zip(self.value(b), |x, y| x * y);
         self.push(v, Op::Mul(a, b))
     }
 
     /// Scalar multiple.
-    pub fn scale(&mut self, a: NodeId, k: f64) -> NodeId {
+    pub(crate) fn scale(&mut self, a: NodeId, k: f64) -> NodeId {
         let v = self.value(a).map(|x| x * k);
         self.push(v, Op::Scale(a, k))
     }
 
     /// Adds a scalar constant.
-    pub fn add_const(&mut self, a: NodeId, k: f64) -> NodeId {
+    fn add_const(&mut self, a: NodeId, k: f64) -> NodeId {
         let v = self.value(a).map(|x| x + k);
-        self.push(v, Op::AddConst(a, k))
+        self.push(v, Op::AddConst(a))
     }
 
     /// `1 - a`, the gate complement used by GRU.
-    pub fn one_minus(&mut self, a: NodeId) -> NodeId {
+    pub(crate) fn one_minus(&mut self, a: NodeId) -> NodeId {
         let neg = self.scale(a, -1.0);
         self.add_const(neg, 1.0)
     }
 
     /// Hyperbolic tangent.
-    pub fn tanh(&mut self, a: NodeId) -> NodeId {
+    pub(crate) fn tanh(&mut self, a: NodeId) -> NodeId {
         let v = self.value(a).map(f64::tanh);
         self.push(v, Op::Tanh(a))
     }
 
     /// Logistic sigmoid.
-    pub fn sigmoid(&mut self, a: NodeId) -> NodeId {
+    pub(crate) fn sigmoid(&mut self, a: NodeId) -> NodeId {
         let v = self.value(a).map(|x| 1.0 / (1.0 + (-x).exp()));
         self.push(v, Op::Sigmoid(a))
     }
 
     /// Rectified linear unit.
-    pub fn relu(&mut self, a: NodeId) -> NodeId {
+    pub(crate) fn relu(&mut self, a: NodeId) -> NodeId {
         let v = self.value(a).map(|x| x.max(0.0));
         self.push(v, Op::Relu(a))
     }
@@ -367,7 +317,7 @@ impl Graph {
     /// Panics when `n` is zero, the row counts are not divisible by `n`,
     /// `k` and `v` differ in shape, or `cols` is empty or out of range.
     #[allow(clippy::too_many_arguments)]
-    pub fn attention_head(
+    pub(crate) fn attention_head(
         &mut self,
         q: NodeId,
         k: NodeId,
@@ -435,13 +385,6 @@ impl Graph {
         self.push(v, Op::SliceRows(a, start, end))
     }
 
-    /// Mean of all elements (`1×1`).
-    pub fn mean_all(&mut self, a: NodeId) -> NodeId {
-        let x = self.value(a);
-        let v = Tensor::new(1, 1, vec![x.sum() / x.len() as f64]);
-        self.push(v, Op::MeanAll(a))
-    }
-
     /// Mean squared error against a constant target (`1×1`).
     pub fn mse(&mut self, pred: NodeId, target: &Tensor) -> NodeId {
         let p = self.value(pred);
@@ -453,7 +396,7 @@ impl Graph {
 
     /// Inverted dropout with a caller-supplied Bernoulli mask already scaled
     /// by `1/keep_prob` (pass all-ones at inference).
-    pub fn dropout(&mut self, a: NodeId, mask: Tensor) -> NodeId {
+    pub(crate) fn dropout(&mut self, a: NodeId, mask: Tensor) -> NodeId {
         assert_eq!(self.value(a).shape(), mask.shape(), "dropout mask shape");
         let v = self.value(a).zip(&mask, |x, m| x * m);
         self.push(v, Op::Dropout(a, mask))
@@ -461,7 +404,7 @@ impl Graph {
 
     /// Row-wise layer normalization: `(x - mean) / std * gamma + beta`,
     /// with `gamma`/`beta` `[1,c]` parameter nodes.
-    pub fn layer_norm(&mut self, x: NodeId, gamma: NodeId, beta: NodeId) -> NodeId {
+    pub(crate) fn layer_norm(&mut self, x: NodeId, gamma: NodeId, beta: NodeId) -> NodeId {
         const EPS: f64 = 1e-5;
         let xv = self.value(x);
         let (n, c) = xv.shape();
@@ -544,7 +487,7 @@ impl Graph {
                     accum(&mut adjoints, *b, gb);
                 }
                 Op::Scale(a, k) => accum(&mut adjoints, *a, grad.map(|g| g * k)),
-                Op::AddConst(a, _) => accum(&mut adjoints, *a, grad),
+                Op::AddConst(a) => accum(&mut adjoints, *a, grad),
                 Op::Tanh(a) => {
                     let g = grad.zip(&self.nodes[i].value, |g, y| g * (1.0 - y * y));
                     accum(&mut adjoints, *a, g);
@@ -632,11 +575,6 @@ impl Graph {
                     let mut g = Tensor::zeros(n, c);
                     g.data_mut()[start * c..end * c].copy_from_slice(grad.data());
                     accum(&mut adjoints, *a, g);
-                }
-                Op::MeanAll(a) => {
-                    let x = self.value(*a);
-                    let k = grad.get(0, 0) / x.len() as f64;
-                    accum(&mut adjoints, *a, x.map(|_| k));
                 }
                 Op::Mse(a, target) => {
                     let p = self.value(*a);
@@ -990,7 +928,7 @@ mod tests {
                 let sq = g.mul(wi, wi);
                 let sc = g.scale(sq, 0.5);
                 let sh = g.add_const(sc, 1.0);
-                g.mean_all(sh)
+                g.mse(sh, &Tensor::zeros(2, 2))
             },
             1e-6,
         );
@@ -1046,8 +984,7 @@ mod tests {
             move |g, s| {
                 let wi = g.param(s, w);
                 let s2 = g.add(wi, wi);
-                let sq = g.mul(s2, s2);
-                g.mean_all(sq)
+                g.mse(s2, &Tensor::zeros(1, 2))
             },
             1e-6,
         );
@@ -1060,8 +997,7 @@ mod tests {
         store.zero_grads();
         let mut g = Graph::new();
         let wi = g.param(&store, w);
-        let sq = g.mul(wi, wi);
-        let loss = g.mean_all(sq);
+        let loss = g.mse(wi, &Tensor::zeros(1, 2));
         g.backward(loss, &mut store);
         // d/dw mean(w^2) = 2w/2 = w
         assert!((store.grad_norm() - 5.0).abs() < 1e-9);

@@ -46,7 +46,7 @@ thread_local! {
 
 /// 4-wide unrolled dot product.
 #[inline]
-pub fn dot(x: &[f64], y: &[f64]) -> f64 {
+pub(crate) fn dot(x: &[f64], y: &[f64]) -> f64 {
     let n = x.len();
     assert_eq!(n, y.len(), "dot length mismatch");
     let (mut s0, mut s1, mut s2, mut s3) = (0.0, 0.0, 0.0, 0.0);
@@ -66,7 +66,7 @@ pub fn dot(x: &[f64], y: &[f64]) -> f64 {
 
 /// `y += alpha * x`.
 #[inline]
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
+pub(crate) fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     assert_eq!(x.len(), y.len(), "axpy length mismatch");
     for (yi, &xi) in y.iter_mut().zip(x) {
         *yi += alpha * xi;
@@ -80,7 +80,7 @@ pub fn matmul(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: usiz
 }
 
 /// `out += A·B`; the blocked/unrolled workhorse behind every `N·N` product.
-pub fn matmul_acc(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
+fn matmul_acc(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), m * k, "A buffer size");
     assert_eq!(b.len(), k * n, "B buffer size");
     assert_eq!(out.len(), m * n, "C buffer size");
@@ -180,13 +180,13 @@ fn matmul_acc_packed(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, 
 /// allocation after warmup) so the blocked kernel runs at full speed;
 /// dot-product and rank-1 formulations that avoid the pack measure 2-4×
 /// slower because their inner loops defeat vectorization.
-pub fn matmul_nt(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
+pub(crate) fn matmul_nt(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
     out.fill(0.0);
     matmul_nt_acc(a, b, out, m, k, n);
 }
 
 /// `out += A·Bᵀ` (see [`matmul_nt`]).
-pub fn matmul_nt_acc(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
+fn matmul_nt_acc(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), m * k, "A buffer size");
     assert_eq!(b.len(), n * k, "B buffer size");
     assert_eq!(out.len(), m * n, "C buffer size");
@@ -202,13 +202,13 @@ pub fn matmul_nt_acc(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, 
 /// `out = Aᵀ·B` for row-major `A[k×m]`, `B[k×n]`, `out[m×n]`.
 ///
 /// Same pack-then-multiply scheme as [`matmul_nt`].
-pub fn matmul_tn(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
+pub(crate) fn matmul_tn(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
     out.fill(0.0);
     matmul_tn_acc(a, b, out, m, k, n);
 }
 
 /// `out += Aᵀ·B` (see [`matmul_tn`]).
-pub fn matmul_tn_acc(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
+fn matmul_tn_acc(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), k * m, "A buffer size");
     assert_eq!(b.len(), k * n, "B buffer size");
     assert_eq!(out.len(), m * n, "C buffer size");
@@ -224,7 +224,7 @@ pub fn matmul_tn_acc(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, 
 /// Tiled out-of-place transpose: `dst[c][r] = src[r][c]` for row-major
 /// `src[rows×cols]`. Tiling keeps both the read and write streams within
 /// a cache-line-sized window.
-pub fn transpose(src: &[f64], dst: &mut [f64], rows: usize, cols: usize) {
+pub(crate) fn transpose(src: &[f64], dst: &mut [f64], rows: usize, cols: usize) {
     assert_eq!(src.len(), rows * cols, "src buffer size");
     assert_eq!(dst.len(), rows * cols, "dst buffer size");
     const TILE: usize = 32;

@@ -22,7 +22,7 @@ pub enum Activation {
 
 /// Glorot/Xavier-uniform initialization: `U(-a, a)` with
 /// `a = sqrt(6 / (fan_in + fan_out))`.
-pub fn glorot(rows: usize, cols: usize, rng: &mut StdRng) -> Tensor {
+pub(crate) fn glorot(rows: usize, cols: usize, rng: &mut StdRng) -> Tensor {
     let a = (6.0 / (rows + cols) as f64).sqrt();
     let data = (0..rows * cols).map(|_| (rng.random::<f64>() * 2.0 - 1.0) * a).collect();
     Tensor::new(rows, cols, data)
@@ -37,8 +37,6 @@ pub struct Dense {
     pub b: ParamId,
     /// Post-affine activation.
     pub activation: Activation,
-    in_dim: usize,
-    out_dim: usize,
 }
 
 impl Dense {
@@ -53,36 +51,7 @@ impl Dense {
     ) -> Self {
         let w = store.add(&format!("{name}.w"), glorot(in_dim, out_dim, rng));
         let b = store.add(&format!("{name}.b"), Tensor::zeros(1, out_dim));
-        Dense { w, b, activation, in_dim, out_dim }
-    }
-
-    /// Input feature count.
-    pub fn in_dim(&self) -> usize {
-        self.in_dim
-    }
-
-    /// Output feature count.
-    pub fn out_dim(&self) -> usize {
-        self.out_dim
-    }
-
-    /// Ids of the layer's parameters, in registration order.
-    pub fn param_ids(&self) -> Vec<ParamId> {
-        vec![self.w, self.b]
-    }
-
-    /// Snapshots the layer's parameters under their registered names.
-    pub fn export_state(&self, store: &ParamStore) -> crate::state::StateDict {
-        crate::state::export_params(store, &self.param_ids())
-    }
-
-    /// Restores the layer's parameters from a snapshot.
-    pub fn import_state(
-        &self,
-        store: &mut ParamStore,
-        dict: &crate::state::StateDict,
-    ) -> Result<(), crate::state::StateError> {
-        crate::state::import_params(store, &self.param_ids(), dict)
+        Dense { w, b, activation }
     }
 
     /// Applies the layer within a graph.
@@ -147,25 +116,6 @@ impl LayerNorm {
         LayerNorm { gamma, beta }
     }
 
-    /// Ids of the layer's parameters, in registration order.
-    pub fn param_ids(&self) -> Vec<ParamId> {
-        vec![self.gamma, self.beta]
-    }
-
-    /// Snapshots the layer's parameters under their registered names.
-    pub fn export_state(&self, store: &ParamStore) -> crate::state::StateDict {
-        crate::state::export_params(store, &self.param_ids())
-    }
-
-    /// Restores the layer's parameters from a snapshot.
-    pub fn import_state(
-        &self,
-        store: &mut ParamStore,
-        dict: &crate::state::StateDict,
-    ) -> Result<(), crate::state::StateError> {
-        crate::state::import_params(store, &self.param_ids(), dict)
-    }
-
     /// Applies row-wise layer normalization.
     pub fn forward(&self, g: &mut Graph, store: &ParamStore, x: NodeId) -> NodeId {
         let gamma = g.param(store, self.gamma);
@@ -196,8 +146,6 @@ mod tests {
     fn dense_shapes_and_activation() {
         let mut store = ParamStore::new();
         let d = Dense::new(&mut store, "d", 3, 2, Activation::Relu, &mut rng());
-        assert_eq!(d.in_dim(), 3);
-        assert_eq!(d.out_dim(), 2);
         let mut g = Graph::new();
         let x = g.input(Tensor::new(4, 3, vec![0.5; 12]));
         let y = d.forward(&mut g, &store, x);
@@ -248,7 +196,7 @@ mod tests {
         let x = g.input(Tensor::full(1, n, 1.0));
         let d = Dropout::new(0.3);
         let y = d.forward(&mut g, x, true, &mut r);
-        let mean = g.value(y).sum() / n as f64;
+        let mean = g.value(y).data().iter().sum::<f64>() / n as f64;
         assert!((mean - 1.0).abs() < 0.05, "inverted dropout mean {mean}");
         let zeros = g.value(y).data().iter().filter(|&&v| v == 0.0).count();
         assert!((zeros as f64 / n as f64 - 0.3).abs() < 0.05);

@@ -9,13 +9,13 @@
 //! * [`graph`] — define-by-run reverse-mode autodiff on a flat tape, with
 //!   a [`graph::ParamStore`] holding parameters and gradients.
 //! * [`layers`] — dense, dropout, layer norm, Glorot initialization.
-//! * [`rnn`] — GRU cell and sequence unrolling.
+//! * [`rnn`] — GRU cell (the forecaster unrolls it over the window).
 //! * [`attention`] — multi-head attention (full and Informer ProbSparse)
 //!   plus sinusoidal positional encodings.
-//! * [`optim`] — Adam with weight decay and gradient clipping (§3.4).
+//! * `optim` — Adam with weight decay and gradient clipping (§3.4).
 //! * [`mod@train`] — mini-batch loop with early stopping, patience 3 (§3.4).
-//! * [`state`] — flat named-tensor snapshots ([`state::StateDict`]) with
-//!   strict `export_state`/`import_state` on stores, layers, and Adam.
+//! * [`state`] — flat named-tensor snapshots ([`state::StateDict`]), the
+//!   format fitted models are stored in.
 //!
 //! Every op has finite-difference gradient tests; see `graph::tests`.
 //!
@@ -45,17 +45,12 @@ pub mod attention;
 pub mod graph;
 pub mod kernels;
 pub mod layers;
-pub mod optim;
+mod optim;
 pub mod rnn;
 pub mod state;
 pub mod tensor;
 pub mod train;
 
-pub use attention::{positional_encoding, AttentionKind, MultiHeadAttention};
-pub use graph::{Graph, NodeId, ParamId, ParamStore};
-pub use layers::{glorot, Activation, Dense, Dropout, LayerNorm};
+pub use graph::{Graph, ParamStore};
 pub use optim::{Adam, AdamConfig};
-pub use rnn::GruCell;
-pub use state::{StateDict, StateError};
 pub use tensor::Tensor;
-pub use train::{train, TrainConfig, TrainReport};

@@ -5,7 +5,6 @@
 //! weight decay `1e-4` (§3.4); those are the defaults here.
 
 use crate::graph::ParamStore;
-use crate::state::{StateDict, StateError};
 use crate::tensor::Tensor;
 
 /// Adam hyperparameters.
@@ -59,46 +58,6 @@ impl Adam {
             .collect::<Vec<_>>();
         let v = m.clone();
         Adam { config, m, v, t: 0 }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &AdamConfig {
-        &self.config
-    }
-
-    /// Steps taken so far.
-    pub fn steps(&self) -> u64 {
-        self.t
-    }
-
-    /// Snapshots the optimizer state: per-parameter moments under
-    /// `adam.m.{name}` / `adam.v.{name}` plus the step counter `adam.t`.
-    /// `store` must be the parameter store this optimizer was created for.
-    pub fn export_state(&self, store: &ParamStore) -> StateDict {
-        let mut dict = StateDict::new();
-        dict.insert("adam.t", Tensor::new(1, 1, vec![self.t as f64]));
-        for id in store.ids() {
-            dict.insert(&format!("adam.m.{}", store.name(id)), self.m[id.0].clone());
-            dict.insert(&format!("adam.v.{}", store.name(id)), self.v[id.0].clone());
-        }
-        dict
-    }
-
-    /// Restores the optimizer state from a snapshot produced by
-    /// [`Adam::export_state`] against a store with identical parameters.
-    pub fn import_state(&mut self, store: &ParamStore, dict: &StateDict) -> Result<(), StateError> {
-        let t = dict.require("adam.t", 1, 1)?.get(0, 0);
-        let mut m = Vec::with_capacity(self.m.len());
-        let mut v = Vec::with_capacity(self.v.len());
-        for id in store.ids() {
-            let (r, c) = store.value(id).shape();
-            m.push(dict.require(&format!("adam.m.{}", store.name(id)), r, c)?.clone());
-            v.push(dict.require(&format!("adam.v.{}", store.name(id)), r, c)?.clone());
-        }
-        self.t = t as u64;
-        self.m = m;
-        self.v = v;
-        Ok(())
     }
 
     /// Applies one update using the gradients accumulated in `store`, then

@@ -28,8 +28,6 @@ pub struct GruCell {
     wxh: ParamId,
     whh: ParamId,
     bh: ParamId,
-    in_dim: usize,
-    hidden: usize,
 }
 
 impl GruCell {
@@ -53,42 +51,7 @@ impl GruCell {
         let bz = store.add(&format!("{name}.bz"), Tensor::zeros(1, hidden));
         let br = store.add(&format!("{name}.br"), Tensor::zeros(1, hidden));
         let bh = store.add(&format!("{name}.bh"), Tensor::zeros(1, hidden));
-        GruCell { wxz, whz, bz, wxr, whr, br, wxh, whh, bh, in_dim, hidden }
-    }
-
-    /// State width.
-    pub fn hidden(&self) -> usize {
-        self.hidden
-    }
-
-    /// Input width.
-    pub fn in_dim(&self) -> usize {
-        self.in_dim
-    }
-
-    /// Ids of the cell's parameters, in registration order.
-    pub fn param_ids(&self) -> Vec<ParamId> {
-        vec![self.wxz, self.whz, self.wxr, self.whr, self.wxh, self.whh, self.bz, self.br, self.bh]
-    }
-
-    /// Snapshots the cell's parameters under their registered names.
-    pub fn export_state(&self, store: &ParamStore) -> crate::state::StateDict {
-        crate::state::export_params(store, &self.param_ids())
-    }
-
-    /// Restores the cell's parameters from a snapshot.
-    pub fn import_state(
-        &self,
-        store: &mut ParamStore,
-        dict: &crate::state::StateDict,
-    ) -> Result<(), crate::state::StateError> {
-        crate::state::import_params(store, &self.param_ids(), dict)
-    }
-
-    /// One recurrence step: `(x_t, h_{t-1}) -> h_t`.
-    pub fn step(&self, g: &mut Graph, store: &ParamStore, x: NodeId, h: NodeId) -> NodeId {
-        let nodes = self.param_nodes(g, store);
-        self.step_with(g, &nodes, x, h)
+        GruCell { wxz, whz, bz, wxr, whr, br, wxh, whh, bh }
     }
 
     /// The cell's nine parameters as graph nodes, in the order
@@ -111,7 +74,8 @@ impl GruCell {
         ]
     }
 
-    /// [`Self::step`] against pre-built parameter nodes.
+    /// One recurrence step `(x_t, h_{t-1}) -> h_t` against pre-built
+    /// parameter nodes.
     pub fn step_with(&self, g: &mut Graph, p: &[NodeId; 9], x: NodeId, h: NodeId) -> NodeId {
         let [wxz, whz, bz, wxr, whr, br, wxh, whh, bh] = *p;
         let gate = |g: &mut Graph, wxn: NodeId, whn: NodeId, bn: NodeId, x, h| {
@@ -137,27 +101,6 @@ impl GruCell {
         let update = g.mul(z, cand);
         g.add(keep, update)
     }
-
-    /// Runs the cell over a sequence of `[n, in]` inputs, returning every
-    /// hidden state. `h0` defaults to zeros when `None`.
-    pub fn run(
-        &self,
-        g: &mut Graph,
-        store: &ParamStore,
-        xs: &[NodeId],
-        h0: Option<NodeId>,
-    ) -> Vec<NodeId> {
-        assert!(!xs.is_empty(), "GRU needs at least one step");
-        let n = g.value(xs[0]).rows();
-        let mut h = h0.unwrap_or_else(|| g.input(Tensor::zeros(n, self.hidden)));
-        let nodes = self.param_nodes(g, store);
-        let mut states = Vec::with_capacity(xs.len());
-        for &x in xs {
-            h = self.step_with(g, &nodes, x, h);
-            states.push(h);
-        }
-        states
-    }
 }
 
 #[cfg(test)]
@@ -170,16 +113,35 @@ mod tests {
         StdRng::seed_from_u64(11)
     }
 
+    /// One step with freshly built parameter nodes.
+    fn step(cell: &GruCell, g: &mut Graph, store: &ParamStore, x: NodeId, h: NodeId) -> NodeId {
+        let nodes = cell.param_nodes(g, store);
+        cell.step_with(g, &nodes, x, h)
+    }
+
+    /// Unrolls the cell over `[n, in]` inputs from a zero state, returning
+    /// every hidden state.
+    fn run(cell: &GruCell, g: &mut Graph, store: &ParamStore, xs: &[NodeId]) -> Vec<NodeId> {
+        let n = g.value(xs[0]).rows();
+        let hidden = store.value(cell.whz).rows();
+        let mut h = g.input(Tensor::zeros(n, hidden));
+        let nodes = cell.param_nodes(g, store);
+        xs.iter()
+            .map(|&x| {
+                h = cell.step_with(g, &nodes, x, h);
+                h
+            })
+            .collect()
+    }
+
     #[test]
     fn step_shapes() {
         let mut store = ParamStore::new();
         let cell = GruCell::new(&mut store, "gru", 3, 5, &mut rng());
-        assert_eq!(cell.in_dim(), 3);
-        assert_eq!(cell.hidden(), 5);
         let mut g = Graph::new();
         let x = g.input(Tensor::zeros(4, 3));
         let h = g.input(Tensor::zeros(4, 5));
-        let h2 = cell.step(&mut g, &store, x, h);
+        let h2 = step(&cell, &mut g, &store, x, h);
         assert_eq!(g.value(h2).shape(), (4, 5));
     }
 
@@ -189,7 +151,7 @@ mod tests {
         let cell = GruCell::new(&mut store, "gru", 2, 4, &mut rng());
         let mut g = Graph::new();
         let xs: Vec<_> = (0..10).map(|_| g.input(Tensor::zeros(1, 2))).collect();
-        let states = cell.run(&mut g, &store, &xs, None);
+        let states = run(&cell, &mut g, &store, &xs);
         assert_eq!(states.len(), 10);
         for s in states {
             assert!(g.value(s).data().iter().all(|v| v.abs() <= 1.0));
@@ -207,7 +169,7 @@ mod tests {
         let build = |g: &mut Graph, s: &ParamStore| {
             let a = g.input(x1.clone());
             let b = g.input(x2.clone());
-            let states = cell.run(g, s, &[a, b], None);
+            let states = run(&cell, g, s, &[a, b]);
             g.mse(*states.last().expect("two steps"), &t)
         };
         store.zero_grads();
@@ -275,7 +237,7 @@ mod tests {
                     g.input(Tensor::col(&col))
                 })
                 .collect();
-            let states = cell.run(&mut g, &store, &xs, None);
+            let states = run(&cell, &mut g, &store, &xs);
             let y = head.forward(&mut g, &store, *states.last().expect("4 steps"));
             let target = Tensor::col(&firsts);
             let loss = g.mse(y, &target);

@@ -2,51 +2,13 @@
 //!
 //! A [`StateDict`] is an ordered map from parameter names to [`Tensor`]
 //! values: the interchange format between fitted models and the artifact
-//! store in `evalcore`. Layers export their parameters under the names
-//! they registered with the [`ParamStore`] (`"enc.wxz"`, `"head.b"`, ...),
-//! and import is strict — shapes must match and no entry may be missing —
-//! so a stale or truncated snapshot is rejected instead of silently
-//! producing a half-restored model.
+//! store in `evalcore`. Models write their parameters under the names
+//! they registered with the [`ParamStore`](crate::graph::ParamStore)
+//! (`"enc.wxz"`, `"head.b"`, ...).
 
 use std::collections::HashMap;
-use std::fmt;
 
-use crate::graph::{ParamId, ParamStore};
 use crate::tensor::Tensor;
-
-/// Why a snapshot could not be applied.
-#[derive(Debug, Clone, PartialEq)]
-pub enum StateError {
-    /// The snapshot lacks an entry the target requires.
-    Missing(String),
-    /// The snapshot holds an entry the target does not know.
-    Unexpected(String),
-    /// An entry exists but with the wrong dimensions.
-    ShapeMismatch {
-        /// Offending entry name.
-        name: String,
-        /// Shape the target requires.
-        expected: (usize, usize),
-        /// Shape found in the snapshot.
-        found: (usize, usize),
-    },
-}
-
-impl fmt::Display for StateError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            StateError::Missing(name) => write!(f, "state entry `{name}` is missing"),
-            StateError::Unexpected(name) => write!(f, "unexpected state entry `{name}`"),
-            StateError::ShapeMismatch { name, expected, found } => write!(
-                f,
-                "state entry `{name}` has shape {}x{}, expected {}x{}",
-                found.0, found.1, expected.0, expected.1
-            ),
-        }
-    }
-}
-
-impl std::error::Error for StateError {}
 
 /// An ordered collection of named tensors.
 ///
@@ -100,70 +62,11 @@ impl StateDict {
     pub fn entries(&self) -> impl Iterator<Item = (&str, &Tensor)> {
         self.entries.iter().map(|(n, t)| (n.as_str(), t))
     }
-
-    /// Total scalar count across all entries.
-    pub fn num_scalars(&self) -> usize {
-        self.entries.iter().map(|(_, t)| t.len()).sum()
-    }
-
-    /// Fetches `name`, requiring the exact shape `(rows, cols)`.
-    pub fn require(&self, name: &str, rows: usize, cols: usize) -> Result<&Tensor, StateError> {
-        let t = self.get(name).ok_or_else(|| StateError::Missing(name.to_string()))?;
-        if t.shape() != (rows, cols) {
-            return Err(StateError::ShapeMismatch {
-                name: name.to_string(),
-                expected: (rows, cols),
-                found: t.shape(),
-            });
-        }
-        Ok(t)
-    }
-}
-
-/// Snapshots the listed parameters of `store` (names as registered).
-pub fn export_params(store: &ParamStore, ids: &[ParamId]) -> StateDict {
-    let mut dict = StateDict::new();
-    for &id in ids {
-        dict.insert(store.name(id), store.value(id).clone());
-    }
-    dict
-}
-
-/// Restores the listed parameters of `store` from `dict`.
-///
-/// Each parameter must be present under its registered name with a
-/// matching shape; entries in `dict` that do not correspond to a listed
-/// parameter are ignored (the dict may hold a larger model's state).
-pub fn import_params(
-    store: &mut ParamStore,
-    ids: &[ParamId],
-    dict: &StateDict,
-) -> Result<(), StateError> {
-    // Validate everything before mutating so a failed import leaves the
-    // store untouched.
-    for &id in ids {
-        let (r, c) = store.value(id).shape();
-        dict.require(store.name(id), r, c)?;
-    }
-    for &id in ids {
-        let src = dict.get(store.name(id)).expect("validated above").clone();
-        *store.value_mut(id) = src;
-    }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn store_with(names: &[(&str, usize, usize)]) -> (ParamStore, Vec<ParamId>) {
-        let mut store = ParamStore::new();
-        let ids = names
-            .iter()
-            .map(|&(n, r, c)| store.add(n, Tensor::full(r, c, (r * c) as f64)))
-            .collect();
-        (store, ids)
-    }
 
     #[test]
     fn insert_get_roundtrip_preserves_order() {
@@ -175,7 +78,6 @@ mod tests {
         assert!(dict.get("c").is_none());
         let order: Vec<&str> = dict.entries().map(|(n, _)| n).collect();
         assert_eq!(order, ["b", "a"]);
-        assert_eq!(dict.num_scalars(), 8);
     }
 
     #[test]
@@ -184,50 +86,5 @@ mod tests {
         let mut dict = StateDict::new();
         dict.insert("w", Tensor::zeros(1, 1));
         dict.insert("w", Tensor::zeros(1, 1));
-    }
-
-    #[test]
-    fn require_checks_shape() {
-        let mut dict = StateDict::new();
-        dict.insert("w", Tensor::zeros(2, 2));
-        assert!(dict.require("w", 2, 2).is_ok());
-        assert_eq!(
-            dict.require("w", 1, 2),
-            Err(StateError::ShapeMismatch { name: "w".into(), expected: (1, 2), found: (2, 2) })
-        );
-        assert_eq!(dict.require("v", 1, 1), Err(StateError::Missing("v".into())));
-    }
-
-    #[test]
-    fn export_import_roundtrip() {
-        let (store, ids) = store_with(&[("w", 2, 3), ("b", 1, 3)]);
-        let dict = export_params(&store, &ids);
-
-        let (mut other, other_ids) = store_with(&[("w", 2, 3), ("b", 1, 3)]);
-        for &id in &other_ids {
-            other.value_mut(id).data_mut().fill(-1.0);
-        }
-        import_params(&mut other, &other_ids, &dict).unwrap();
-        for (&a, &b) in ids.iter().zip(&other_ids) {
-            assert_eq!(store.value(a), other.value(b));
-        }
-    }
-
-    #[test]
-    fn import_rejects_shape_mismatch_without_mutating() {
-        let (store, ids) = store_with(&[("w", 2, 3), ("b", 1, 3)]);
-        let mut dict = export_params(&store, &ids);
-        // Second target has a different "b" shape: import must fail and
-        // leave the first (matching) parameter untouched.
-        let (mut other, other_ids) = store_with(&[("w", 2, 3), ("b", 1, 4)]);
-        let before = other.value(other_ids[0]).clone();
-        let err = import_params(&mut other, &other_ids, &dict).unwrap_err();
-        assert!(matches!(err, StateError::ShapeMismatch { .. }));
-        assert_eq!(other.value(other_ids[0]), &before);
-
-        dict = StateDict::new();
-        dict.insert("w", Tensor::zeros(2, 3));
-        let err = import_params(&mut other, &other_ids, &dict).unwrap_err();
-        assert_eq!(err, StateError::Missing("b".into()));
     }
 }

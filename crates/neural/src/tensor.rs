@@ -63,13 +63,8 @@ impl Tensor {
     }
 
     /// Total number of elements.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.data.len()
-    }
-
-    /// True if the tensor has zero elements.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
     }
 
     /// Immutable flat buffer.
@@ -91,7 +86,7 @@ impl Tensor {
 
     /// Element assignment.
     #[inline]
-    pub fn set(&mut self, r: usize, c: usize, v: f64) {
+    pub(crate) fn set(&mut self, r: usize, c: usize, v: f64) {
         debug_assert!(r < self.rows && c < self.cols);
         self.data[r * self.cols + c] = v;
     }
@@ -121,24 +116,6 @@ impl Tensor {
         kernels::matmul(&self.data, &other.data, &mut out.data, self.rows, self.cols, other.cols);
     }
 
-    /// Fused multiply-accumulate: `out += self · other`.
-    pub fn matmul_acc_into(&self, other: &Tensor, out: &mut Tensor) {
-        assert_eq!(
-            self.cols, other.rows,
-            "matmul {}x{} · {}x{}",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        assert_eq!(out.shape(), (self.rows, other.cols), "matmul_acc_into output shape");
-        kernels::matmul_acc(
-            &self.data,
-            &other.data,
-            &mut out.data,
-            self.rows,
-            self.cols,
-            other.cols,
-        );
-    }
-
     /// `self · otherᵀ` without materializing the transpose.
     pub fn matmul_nt(&self, other: &Tensor) -> Tensor {
         let mut out = Tensor::zeros(self.rows, other.rows);
@@ -147,7 +124,7 @@ impl Tensor {
     }
 
     /// Allocation-free `out = self · otherᵀ`.
-    pub fn matmul_nt_into(&self, other: &Tensor, out: &mut Tensor) {
+    fn matmul_nt_into(&self, other: &Tensor, out: &mut Tensor) {
         assert_eq!(
             self.cols, other.cols,
             "matmul_nt {}x{} · ({}x{})ᵀ",
@@ -172,7 +149,7 @@ impl Tensor {
     }
 
     /// Allocation-free `out = selfᵀ · other`.
-    pub fn matmul_tn_into(&self, other: &Tensor, out: &mut Tensor) {
+    fn matmul_tn_into(&self, other: &Tensor, out: &mut Tensor) {
         assert_eq!(
             self.rows, other.rows,
             "matmul_tn ({}x{})ᵀ · {}x{}",
@@ -223,19 +200,13 @@ impl Tensor {
     }
 
     /// Allocation-free transpose: `out = selfᵀ`.
-    pub fn transpose_into(&self, out: &mut Tensor) {
+    fn transpose_into(&self, out: &mut Tensor) {
         assert_eq!(out.shape(), (self.cols, self.rows), "transpose_into output shape");
         kernels::transpose(&self.data, &mut out.data, self.rows, self.cols);
     }
 
-    /// In-place `self += alpha * other`.
-    pub fn axpy(&mut self, alpha: f64, other: &Tensor) {
-        assert_eq!(self.shape(), other.shape(), "axpy shape mismatch");
-        kernels::axpy(alpha, &other.data, &mut self.data);
-    }
-
     /// Elementwise map into a new tensor.
-    pub fn map(&self, f: impl Fn(f64) -> f64) -> Tensor {
+    pub(crate) fn map(&self, f: impl Fn(f64) -> f64) -> Tensor {
         Tensor { rows: self.rows, cols: self.cols, data: self.data.iter().map(|&v| f(v)).collect() }
     }
 
@@ -243,7 +214,7 @@ impl Tensor {
     ///
     /// # Panics
     /// Panics on shape mismatch.
-    pub fn zip(&self, other: &Tensor, f: impl Fn(f64, f64) -> f64) -> Tensor {
+    pub(crate) fn zip(&self, other: &Tensor, f: impl Fn(f64, f64) -> f64) -> Tensor {
         assert_eq!(self.shape(), other.shape(), "zip shape mismatch");
         Tensor {
             rows: self.rows,
@@ -253,7 +224,7 @@ impl Tensor {
     }
 
     /// In-place `self += other`.
-    pub fn add_assign(&mut self, other: &Tensor) {
+    pub(crate) fn add_assign(&mut self, other: &Tensor) {
         assert_eq!(self.shape(), other.shape(), "add_assign shape mismatch");
         for (a, &b) in self.data.iter_mut().zip(&other.data) {
             *a += b;
@@ -261,24 +232,14 @@ impl Tensor {
     }
 
     /// In-place scaling.
-    pub fn scale_assign(&mut self, k: f64) {
+    pub(crate) fn scale_assign(&mut self, k: f64) {
         for a in self.data.iter_mut() {
             *a *= k;
         }
     }
 
-    /// Sum of all elements.
-    pub fn sum(&self) -> f64 {
-        self.data.iter().sum()
-    }
-
-    /// Frobenius norm.
-    pub fn norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
     /// Extracts rows `start..end` as a new tensor.
-    pub fn slice_rows(&self, start: usize, end: usize) -> Tensor {
+    pub(crate) fn slice_rows(&self, start: usize, end: usize) -> Tensor {
         assert!(start <= end && end <= self.rows, "row slice out of range");
         Tensor {
             rows: end - start,
@@ -288,7 +249,7 @@ impl Tensor {
     }
 
     /// Extracts columns `start..end` as a new tensor.
-    pub fn slice_cols(&self, start: usize, end: usize) -> Tensor {
+    pub(crate) fn slice_cols(&self, start: usize, end: usize) -> Tensor {
         assert!(start <= end && end <= self.cols, "col slice out of range");
         let mut out = Tensor::zeros(self.rows, end - start);
         for r in 0..self.rows {
@@ -299,7 +260,7 @@ impl Tensor {
     }
 
     /// Stacks `self` above `other` (same column count).
-    pub fn vstack(&self, other: &Tensor) -> Tensor {
+    pub(crate) fn vstack(&self, other: &Tensor) -> Tensor {
         assert_eq!(self.cols, other.cols, "vstack column mismatch");
         let mut data = self.data.clone();
         data.extend_from_slice(&other.data);
@@ -307,7 +268,7 @@ impl Tensor {
     }
 
     /// Concatenates `other`'s columns to the right of `self`'s.
-    pub fn hstack(&self, other: &Tensor) -> Tensor {
+    pub(crate) fn hstack(&self, other: &Tensor) -> Tensor {
         assert_eq!(self.rows, other.rows, "hstack row mismatch");
         let cols = self.cols + other.cols;
         let mut out = Tensor::zeros(self.rows, cols);
@@ -437,28 +398,15 @@ mod tests {
     }
 
     #[test]
-    fn into_variants_and_axpy() {
+    fn into_variants_match_allocating_ops() {
         let a = Tensor::new(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let b = Tensor::new(3, 2, vec![7.0, 8.0, 9.0, 10.0, 11.0, 12.0]);
         let mut out = Tensor::zeros(2, 2);
         a.matmul_into(&b, &mut out);
         assert_eq!(out.data(), &[58.0, 64.0, 139.0, 154.0]);
-        a.matmul_acc_into(&b, &mut out);
-        assert_eq!(out.data(), &[116.0, 128.0, 278.0, 308.0]);
 
         let mut t = Tensor::zeros(3, 2);
         a.transpose_into(&mut t);
         assert_eq!(t, a.transpose());
-
-        let mut y = Tensor::new(1, 3, vec![1.0, 1.0, 1.0]);
-        y.axpy(2.0, &Tensor::new(1, 3, vec![1.0, 2.0, 3.0]));
-        assert_eq!(y.data(), &[3.0, 5.0, 7.0]);
-    }
-
-    #[test]
-    fn reductions() {
-        let a = Tensor::new(2, 2, vec![3.0, 4.0, 0.0, 0.0]);
-        assert_eq!(a.sum(), 7.0);
-        assert_eq!(a.norm(), 5.0);
     }
 }

@@ -33,14 +33,14 @@
 //!
 //! [`ArtifactStore::list_keys`]: evalcore::artifact::ArtifactStore::list_keys
 
-pub mod client;
+mod client;
 pub mod registry;
 pub mod scheduler;
-pub mod server;
+mod server;
 pub mod wire;
 
 pub use client::Client;
-pub use registry::{ModelRegistry, ModelSpec, RegistryConfig};
+pub use registry::ModelRegistry;
 pub use scheduler::SchedulerConfig;
 pub use server::{ServeConfig, Server};
 

@@ -45,7 +45,7 @@ pub struct ModelSpec {
 
 impl ModelSpec {
     /// The spec an artifact key serves under.
-    pub fn from_key(key: &ArtifactKey) -> ModelSpec {
+    fn from_key(key: &ArtifactKey) -> ModelSpec {
         ModelSpec {
             dataset: key.dataset.clone(),
             model: key.model.clone(),
@@ -202,7 +202,7 @@ impl ModelRegistry {
     }
 
     /// Estimated bytes held by warm models.
-    pub fn resident_bytes(&self) -> usize {
+    pub(crate) fn resident_bytes(&self) -> usize {
         self.state.lock().resident_bytes
     }
 

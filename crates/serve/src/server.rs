@@ -115,11 +115,6 @@ impl Server {
         self.addr
     }
 
-    /// The registry this server routes through.
-    pub fn registry(&self) -> &ModelRegistry {
-        &self.inner.registry
-    }
-
     /// Blocks until a `shutdown` request stops the accept loop (the
     /// serve binary's main-thread parking spot).
     pub fn wait(&mut self) {

@@ -1,11 +1,11 @@
 //! The length-prefixed binary wire protocol.
 //!
 //! Every message is one *frame*: a little-endian `u32` payload length
-//! followed by that many payload bytes, capped at [`MAX_FRAME_LEN`] so a
+//! followed by that many payload bytes, capped at `MAX_FRAME_LEN` so a
 //! hostile length prefix cannot make the server allocate gigabytes.
 //! Request payloads start with a one-byte opcode; response payloads start
-//! with a one-byte status ([`STATUS_OK`] / [`STATUS_ERROR`] /
-//! [`STATUS_OVERLOADED`] — the typed admission-control rejection).
+//! with a one-byte status ([`STATUS_OK`] / `STATUS_ERROR` /
+//! `STATUS_OVERLOADED` — the typed admission-control rejection).
 //!
 //! All integers are little-endian; floats travel as IEEE-754 bit
 //! patterns, so forecasts cross the wire bit-exactly. Strings are a
@@ -40,29 +40,29 @@ use crate::registry::ModelSpec;
 
 /// Hard cap on one frame's payload (16 MiB) — bounds per-connection
 /// memory against hostile or corrupt length prefixes.
-pub const MAX_FRAME_LEN: usize = 16 << 20;
+const MAX_FRAME_LEN: usize = 16 << 20;
 
 /// Request opcodes.
-pub const OP_INGEST: u8 = 0x01;
+pub(crate) const OP_INGEST: u8 = 0x01;
 /// Forecast request opcode.
-pub const OP_FORECAST: u8 = 0x02;
+pub(crate) const OP_FORECAST: u8 = 0x02;
 /// Compress request opcode.
-pub const OP_COMPRESS: u8 = 0x03;
+pub(crate) const OP_COMPRESS: u8 = 0x03;
 /// Stats request opcode.
-pub const OP_STATS: u8 = 0x04;
+pub(crate) const OP_STATS: u8 = 0x04;
 /// Metrics (Prometheus dump) request opcode.
-pub const OP_METRICS: u8 = 0x05;
+pub(crate) const OP_METRICS: u8 = 0x05;
 /// Graceful shutdown request opcode.
-pub const OP_SHUTDOWN: u8 = 0x06;
+pub(crate) const OP_SHUTDOWN: u8 = 0x06;
 
 /// Response status: success, body follows.
 pub const STATUS_OK: u8 = 0;
 /// Response status: request failed; body is a string message.
-pub const STATUS_ERROR: u8 = 1;
+const STATUS_ERROR: u8 = 1;
 /// Response status: admission control rejected the request; body is a
 /// `u32` queue depth. The *typed* overload signal — clients should back
 /// off and retry, not treat it as a hard failure.
-pub const STATUS_OVERLOADED: u8 = 2;
+const STATUS_OVERLOADED: u8 = 2;
 
 /// A malformed frame or payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -170,7 +170,7 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
 }
 
 /// Reads one frame's payload. `Ok(None)` is a clean end-of-stream (the
-/// peer closed between frames); a length prefix over [`MAX_FRAME_LEN`]
+/// peer closed between frames); a length prefix over `MAX_FRAME_LEN`
 /// is an error before any allocation.
 pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<Vec<u8>>> {
     let mut len_buf = [0u8; 4];

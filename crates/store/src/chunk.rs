@@ -27,9 +27,9 @@ use tsdata::series::RegularTimeSeries;
 use crate::StoreError;
 
 /// Chunk frame magic bytes.
-pub const CHUNK_MAGIC: [u8; 4] = *b"TSCK";
+const CHUNK_MAGIC: [u8; 4] = *b"TSCK";
 /// Current chunk format version.
-pub const CHUNK_VERSION: u8 = 1;
+const CHUNK_VERSION: u8 = 1;
 /// Fixed header size in bytes (before the payload).
 pub const CHUNK_HEADER_LEN: usize = 56;
 
@@ -49,7 +49,7 @@ pub enum ChunkCodec {
 
 impl ChunkCodec {
     /// Wire tag.
-    pub fn tag(self) -> u8 {
+    fn tag(self) -> u8 {
         match self {
             ChunkCodec::Gorilla => 0,
             ChunkCodec::Pmc => 1,
@@ -58,7 +58,7 @@ impl ChunkCodec {
         }
     }
 
-    /// Inverse of [`ChunkCodec::tag`].
+    /// Inverse of `ChunkCodec::tag`.
     pub fn from_tag(tag: u8) -> Result<Self, StoreError> {
         match tag {
             0 => Ok(ChunkCodec::Gorilla),
@@ -70,7 +70,7 @@ impl ChunkCodec {
     }
 
     /// Telemetry / display label.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             ChunkCodec::Gorilla => "GORILLA",
             ChunkCodec::Pmc => "PMC",
@@ -80,7 +80,7 @@ impl ChunkCodec {
     }
 
     /// The error-bounded [`Method`] behind a lossy chunk codec, if any.
-    pub fn method(self) -> Option<Method> {
+    fn method(self) -> Option<Method> {
         match self {
             ChunkCodec::Gorilla => None,
             ChunkCodec::Pmc => Some(Method::Pmc),
@@ -127,7 +127,7 @@ impl SealedChunk {
     }
 
     /// The payload codec.
-    pub fn codec(&self) -> ChunkCodec {
+    pub(crate) fn codec(&self) -> ChunkCodec {
         self.codec
     }
 
@@ -152,23 +152,8 @@ impl SealedChunk {
     }
 
     /// Timestamp of the last point.
-    pub fn end_ts(&self) -> i64 {
+    fn end_ts(&self) -> i64 {
         self.start_ts + (self.count as i64 - 1) * self.interval
-    }
-
-    /// Sampling interval in seconds.
-    pub fn interval(&self) -> i64 {
-        self.interval
-    }
-
-    /// The error bound the payload was encoded under (0 for lossless).
-    pub fn eps(&self) -> f64 {
-        f64::from_bits(self.eps_bits)
-    }
-
-    /// Encoded payload size in bytes (without the header).
-    pub fn payload_len(&self) -> usize {
-        self.payload.len()
     }
 
     /// Full wire size: header plus payload.
@@ -370,9 +355,9 @@ mod tests {
         assert_eq!(c.len(), 50);
         assert_eq!(c.start_ts(), 1_000);
         assert_eq!(c.end_ts(), 1_000 + 49 * 60);
-        assert_eq!(c.interval(), 60);
+        assert_eq!(c.interval, 60);
         assert_eq!(c.codec(), ChunkCodec::Gorilla);
-        assert_eq!(c.eps(), 0.0);
+        assert_eq!(f64::from_bits(c.eps_bits), 0.0);
         assert_eq!(c.num_segments(), 1);
     }
 

@@ -31,14 +31,14 @@ use compression::codec::CodecError;
 use parking_lot::{Mutex, RwLock};
 use tsdata::series::SeriesSource;
 
-pub mod append;
-pub mod chunk;
+mod append;
+mod chunk;
 pub mod iter;
 
-pub use chunk::{ChunkCodec, SealedChunk, CHUNK_HEADER_LEN, CHUNK_MAGIC, CHUNK_VERSION};
-pub use iter::{ChunkIter, PointIter, StoreSeries};
+pub use chunk::{ChunkCodec, SealedChunk, CHUNK_HEADER_LEN};
 
 use append::ActiveChunk;
+use iter::StoreSeries;
 
 /// Identifies one series in the store. Callers compose ids however they
 /// like (the evaluation grid packs dataset/subset/channel indices).
@@ -156,11 +156,6 @@ impl TsStore {
         TsStore { config, series: RwLock::new(HashMap::new()) }
     }
 
-    /// The seal policy in effect.
-    pub fn config(&self) -> StoreConfig {
-        self.config
-    }
-
     /// Number of registered series.
     pub fn num_series(&self) -> usize {
         self.series.read().len()
@@ -198,12 +193,6 @@ impl TsStore {
 
     fn shard(&self, id: SeriesId) -> Result<Arc<Mutex<Shard>>, StoreError> {
         self.series.read().get(&id).cloned().ok_or(StoreError::UnknownSeries(id))
-    }
-
-    /// Appends one point. O(1): a read-locked map probe plus the shard's
-    /// own lock.
-    pub fn append(&self, id: SeriesId, ts: i64, value: f64) -> Result<(), StoreError> {
-        self.append_batch(id, std::iter::once((ts, value)))
     }
 
     /// Appends many points under one shard lock — the bulk-ingest path.
@@ -422,7 +411,7 @@ mod tests {
 
         // An append dirties the generation: the next read re-encodes (a
         // different frame) and sees the new point.
-        store.append(id, 50 * 30, 9.25).unwrap();
+        store.append_batch(id, [(50 * 30, 9.25)]).unwrap();
         let v3 = store.read(id).unwrap();
         let f3 = v3.chunks().last().unwrap();
         assert!(!std::ptr::eq(f1, f3), "append must invalidate the cached snapshot");
@@ -499,12 +488,12 @@ mod tests {
         let store = TsStore::new(StoreConfig::default());
         let id = SeriesId(2);
         store.create_series(id, ChunkCodec::Gorilla, 0.0).unwrap();
-        store.append(id, 0, 1.0).unwrap();
+        store.append_batch(id, [(0, 1.0)]).unwrap();
         // Second point must move forward.
-        assert!(matches!(store.append(id, -5, 2.0), Err(StoreError::OutOfOrder { .. })));
-        store.append(id, 10, 2.0).unwrap();
+        assert!(matches!(store.append_batch(id, [(-5, 2.0)]), Err(StoreError::OutOfOrder { .. })));
+        store.append_batch(id, [(10, 2.0)]).unwrap();
         // Third point must land exactly one interval later.
-        let err = store.append(id, 25, 3.0).unwrap_err();
+        let err = store.append_batch(id, [(25, 3.0)]).unwrap_err();
         match err {
             StoreError::OutOfOrder { ts, expected, .. } => {
                 assert_eq!(ts, 25);
@@ -513,7 +502,7 @@ mod tests {
             other => panic!("unexpected error: {other}"),
         }
         // The shard is still usable after a rejected append.
-        store.append(id, 20, 3.0).unwrap();
+        store.append_batch(id, [(20, 3.0)]).unwrap();
         assert_eq!(store.series_len(id).unwrap(), 3);
     }
 
@@ -521,7 +510,7 @@ mod tests {
     fn series_management_errors() {
         let store = TsStore::default();
         let id = SeriesId(5);
-        assert!(matches!(store.append(id, 0, 1.0), Err(StoreError::UnknownSeries(_))));
+        assert!(matches!(store.append_batch(id, [(0, 1.0)]), Err(StoreError::UnknownSeries(_))));
         store.create_series(id, ChunkCodec::Gorilla, 0.0).unwrap();
         assert!(matches!(
             store.create_series(id, ChunkCodec::Pmc, 0.1),

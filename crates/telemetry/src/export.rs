@@ -169,7 +169,7 @@ mod tests {
     use crate::metrics::MetricsRegistry;
 
     fn sample_snapshots() -> Vec<MetricSnapshot> {
-        let r = MetricsRegistry::new();
+        let r = MetricsRegistry::default();
         r.counter_add("tasks_total", &[("status", "ok")], 7);
         r.counter_add("tasks_total", &[("status", "failed")], 1);
         r.gauge_set("loss", &[("model", "DLinear")], 0.125);
@@ -220,7 +220,7 @@ mod tests {
 
     #[test]
     fn prometheus_escapes_label_values() {
-        let r = MetricsRegistry::new();
+        let r = MetricsRegistry::default();
         r.counter_add("c", &[("path", "a\\b\"c\nd")], 1);
         let text = prometheus(&r.snapshot());
         assert!(text.contains("c{path=\"a\\\\b\\\"c\\nd\"} 1"), "{text}");

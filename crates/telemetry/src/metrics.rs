@@ -16,7 +16,7 @@ use std::sync::{Arc, RwLock};
 /// One label pair, owned. Labels are kept sorted by key so that the same
 /// logical label set always addresses the same instrument regardless of
 /// the order a call site lists them in.
-pub type Label = (String, String);
+pub(crate) type Label = (String, String);
 
 /// Builds the canonical owned label vector (sorted by key) from the
 /// borrowed pairs call sites pass.
@@ -57,7 +57,7 @@ fn storage_key(name: &str, labels: &[(&str, &str)]) -> String {
 /// exponential-ish from 1µs to 60s. An implicit `+Inf` bucket catches the
 /// rest. Fixed bounds keep the histogram allocation-free after creation
 /// and make every exported histogram comparable.
-pub const LATENCY_BUCKETS: [f64; 12] =
+const LATENCY_BUCKETS: [f64; 12] =
     [1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.05, 0.1, 0.25, 1.0, 2.5, 10.0, 60.0];
 
 /// Atomic f64 stored as its bit pattern.
@@ -190,11 +190,6 @@ pub struct MetricsRegistry {
 }
 
 impl MetricsRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        MetricsRegistry::default()
-    }
-
     /// Fetches the instrument for `(name, labels)`, creating it with
     /// `make` on first touch. A type clash (an existing instrument of a
     /// different variant) returns `None`; callers treat that as a no-op
@@ -223,7 +218,7 @@ impl MetricsRegistry {
     }
 
     /// Adds `delta` to the counter `(name, labels)`.
-    pub fn counter_add(&self, name: &str, labels: &[(&str, &str)], delta: u64) {
+    pub(crate) fn counter_add(&self, name: &str, labels: &[(&str, &str)], delta: u64) {
         let Some(m) = self.instrument(name, labels, || Instrument::Counter(AtomicU64::new(0)))
         else {
             return;
@@ -237,7 +232,7 @@ impl MetricsRegistry {
     }
 
     /// Sets the gauge `(name, labels)` to `value` (last write wins).
-    pub fn gauge_set(&self, name: &str, labels: &[(&str, &str)], value: f64) {
+    pub(crate) fn gauge_set(&self, name: &str, labels: &[(&str, &str)], value: f64) {
         let Some(m) = self.instrument(name, labels, || Instrument::Gauge(AtomicF64::default()))
         else {
             return;
@@ -250,7 +245,7 @@ impl MetricsRegistry {
 
     /// Records `value` into the histogram `(name, labels)` using the
     /// default [`LATENCY_BUCKETS`].
-    pub fn observe(&self, name: &str, labels: &[(&str, &str)], value: f64) {
+    pub(crate) fn observe(&self, name: &str, labels: &[(&str, &str)], value: f64) {
         self.observe_with(name, labels, &LATENCY_BUCKETS, value);
     }
 
@@ -299,16 +294,6 @@ impl MetricsRegistry {
     pub fn counter_total(&self, name: &str) -> u64 {
         self.snapshot().iter().filter(|s| s.name == name).filter_map(|s| s.value.as_counter()).sum()
     }
-
-    /// Number of registered instruments.
-    pub fn len(&self) -> usize {
-        self.metrics.read().expect("metrics lock").len()
-    }
-
-    /// Whether no instrument has been touched yet.
-    pub fn is_empty(&self) -> bool {
-        self.metrics.read().expect("metrics lock").is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -317,7 +302,7 @@ mod tests {
 
     #[test]
     fn counters_accumulate_per_label_set() {
-        let r = MetricsRegistry::new();
+        let r = MetricsRegistry::default();
         r.counter_add("tasks_total", &[("status", "ok")], 2);
         r.counter_add("tasks_total", &[("status", "ok")], 3);
         r.counter_add("tasks_total", &[("status", "failed")], 1);
@@ -331,16 +316,16 @@ mod tests {
 
     #[test]
     fn label_order_does_not_split_instruments() {
-        let r = MetricsRegistry::new();
+        let r = MetricsRegistry::default();
         r.counter_add("c", &[("a", "1"), ("b", "2")], 1);
         r.counter_add("c", &[("b", "2"), ("a", "1")], 1);
-        assert_eq!(r.len(), 1);
+        assert_eq!(r.snapshot().len(), 1);
         assert_eq!(r.counter_total("c"), 2);
     }
 
     #[test]
     fn gauges_are_last_write_wins() {
-        let r = MetricsRegistry::new();
+        let r = MetricsRegistry::default();
         r.gauge_set("loss", &[], 0.5);
         r.gauge_set("loss", &[], 0.25);
         assert_eq!(r.snapshot()[0].value, MetricValue::Gauge(0.25));
@@ -348,7 +333,7 @@ mod tests {
 
     #[test]
     fn histogram_counts_are_per_bucket() {
-        let r = MetricsRegistry::new();
+        let r = MetricsRegistry::default();
         for v in [0.5, 1.5, 2.5, 99.0] {
             r.observe_with("h", &[], &[1.0, 2.0, 4.0], v);
         }
@@ -365,7 +350,7 @@ mod tests {
 
     #[test]
     fn boundary_value_lands_in_its_bound_bucket() {
-        let r = MetricsRegistry::new();
+        let r = MetricsRegistry::default();
         // Prometheus `le` semantics: a value equal to a bound belongs to
         // that bound's bucket.
         r.observe_with("h", &[], &[1.0, 2.0], 1.0);
@@ -377,7 +362,7 @@ mod tests {
 
     #[test]
     fn type_clash_is_a_noop() {
-        let r = MetricsRegistry::new();
+        let r = MetricsRegistry::default();
         r.counter_add("x", &[], 1);
         // In release builds a clash must not panic or corrupt; the write
         // is simply dropped. (Debug builds assert on the naming bug.)
@@ -389,7 +374,7 @@ mod tests {
 
     #[test]
     fn concurrent_counting_is_lossless() {
-        let r = Arc::new(MetricsRegistry::new());
+        let r = Arc::new(MetricsRegistry::default());
         let threads: Vec<_> = (0..8)
             .map(|_| {
                 let r = r.clone();

@@ -4,9 +4,9 @@
 //! ([`std::time::Instant`]). Completed spans are appended to a
 //! *per-thread* buffer (no lock, no contention) which drains into the
 //! global [`SpanSink`] when it fills and when the thread exits; callers
-//! that need every span (exporters) call [`SpanSink::flush_thread`] on
-//! their own thread first — worker threads spawned per grid run have
-//! already drained via their thread-local destructors by then.
+//! that need every span (exporters) read [`SpanSink::snapshot`], which
+//! drains their own thread first — worker threads spawned per grid run
+//! have already drained via their thread-local destructors by then.
 //!
 //! Parent linkage is per-thread: each thread keeps a stack of open span
 //! ids, and a new span records the current top as its parent. That is
@@ -25,8 +25,8 @@ use crate::metrics::Label;
 /// spans instead of once per span.
 const FLUSH_EVERY: usize = 256;
 
-/// Hard cap on retained span records: a runaway instrumented loop
-/// degrades to counting dropped spans instead of exhausting memory.
+/// Hard cap on retained span records: a runaway instrumented loop drops
+/// the excess spans instead of exhausting memory.
 const MAX_RECORDS: usize = 1_000_000;
 
 /// One completed span.
@@ -55,7 +55,6 @@ pub struct SpanSink {
     records: Mutex<Vec<SpanRecord>>,
     next_id: AtomicU64,
     next_tid: AtomicU64,
-    dropped: AtomicU64,
     epoch: Instant,
 }
 
@@ -65,40 +64,25 @@ impl Default for SpanSink {
             records: Mutex::new(Vec::new()),
             next_id: AtomicU64::new(1),
             next_tid: AtomicU64::new(1),
-            dropped: AtomicU64::new(0),
             epoch: Instant::now(),
         }
     }
 }
 
 impl SpanSink {
-    /// Creates an empty sink; its epoch (trace time zero) is now.
-    pub fn new() -> Self {
-        SpanSink::default()
-    }
-
-    /// The sink's monotonic epoch.
-    pub fn epoch(&self) -> Instant {
-        self.epoch
-    }
-
     fn drain(&self, batch: &mut Vec<SpanRecord>) {
         if batch.is_empty() {
             return;
         }
         let mut records = self.records.lock().expect("span sink lock");
-        let room = MAX_RECORDS.saturating_sub(records.len());
-        if batch.len() > room {
-            self.dropped.fetch_add((batch.len() - room) as u64, Ordering::Relaxed);
-            batch.truncate(room);
-        }
+        batch.truncate(MAX_RECORDS.saturating_sub(records.len()));
         records.append(batch);
     }
 
     /// Drains the *calling thread's* buffered spans into the sink. Called
     /// by exporters before snapshotting; other threads drain when their
     /// buffers fill or when they exit.
-    pub fn flush_thread(&self) {
+    fn flush_thread(&self) {
         THREAD.with(|t| {
             let mut t = t.borrow_mut();
             let mut batch = std::mem::take(&mut t.buffer);
@@ -111,11 +95,6 @@ impl SpanSink {
     pub fn snapshot(&self) -> Vec<SpanRecord> {
         self.flush_thread();
         self.records.lock().expect("span sink lock").clone()
-    }
-
-    /// Number of spans discarded after the `MAX_RECORDS` cap was hit.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
     }
 }
 
@@ -142,7 +121,7 @@ thread_local! {
         const { RefCell::new(ThreadState { tid: 0, stack: Vec::new(), buffer: Vec::new() }) };
 }
 
-/// An open span. Created by [`start_span`] (or [`fn@crate::span`], which
+/// An open span. Created by `start_span` (or [`fn@crate::span`], which
 /// checks the enabled flag); the measured region ends when the guard
 /// drops. An inert span (telemetry disabled at creation) costs nothing
 /// on drop.
@@ -166,7 +145,7 @@ struct OpenSpan {
 /// process-global sink: the guard outlives arbitrary call frames, so a
 /// per-sink variant could not be tied to a borrowed sink without
 /// infecting every instrumented signature with lifetimes.
-pub fn start_span(name: &'static str, labels: &[(&str, &str)]) -> Span {
+pub(crate) fn start_span(name: &'static str, labels: &[(&str, &str)]) -> Span {
     let sink = crate::global().spans();
     let id = sink.next_id.fetch_add(1, Ordering::Relaxed);
     let parent = THREAD.with(|t| {
@@ -218,12 +197,6 @@ impl Span {
     pub fn inert() -> Span {
         Span { inner: None }
     }
-
-    /// Whether this span is actually recording (false when telemetry was
-    /// disabled at creation).
-    pub fn is_recording(&self) -> bool {
-        self.inner.is_some()
-    }
 }
 
 impl Drop for Span {
@@ -266,7 +239,7 @@ mod tests {
     #[test]
     fn inert_span_records_nothing() {
         let s = Span::inert();
-        assert!(!s.is_recording());
+        assert!(s.inner.is_none());
         drop(s); // must not touch the global sink
     }
 }

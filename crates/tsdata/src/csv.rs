@@ -8,15 +8,12 @@
 //! here (no quoted fields) is what these datasets actually use.
 
 use std::fmt;
-use std::path::Path;
 
 use crate::series::{MultiSeries, RegularTimeSeries, SeriesError};
 
 /// Errors from CSV parsing.
 #[derive(Debug)]
 pub enum CsvError {
-    /// I/O failure.
-    Io(std::io::Error),
     /// The file is empty or has no data rows.
     Empty,
     /// A malformed row (line number, message).
@@ -34,7 +31,6 @@ pub enum CsvError {
 impl fmt::Display for CsvError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CsvError::Io(e) => write!(f, "csv io: {e}"),
             CsvError::Empty => write!(f, "csv has no data rows"),
             CsvError::BadRow(line, msg) => write!(f, "csv line {line}: {msg}"),
             CsvError::BadTimestamp(line, ts) => {
@@ -51,12 +47,6 @@ impl fmt::Display for CsvError {
 
 impl std::error::Error for CsvError {}
 
-impl From<std::io::Error> for CsvError {
-    fn from(e: std::io::Error) -> Self {
-        CsvError::Io(e)
-    }
-}
-
 impl From<SeriesError> for CsvError {
     fn from(e: SeriesError) -> Self {
         CsvError::Series(e)
@@ -65,7 +55,7 @@ impl From<SeriesError> for CsvError {
 
 /// Parses an ETT-style timestamp: ISO `YYYY-MM-DD HH:MM[:SS]` (treated as
 /// UTC) or a plain integer (Unix seconds).
-pub fn parse_timestamp(s: &str) -> Option<i64> {
+fn parse_timestamp(s: &str) -> Option<i64> {
     let s = s.trim();
     if let Ok(secs) = s.parse::<i64>() {
         return Some(secs);
@@ -160,11 +150,6 @@ pub fn parse_multiseries(text: &str, target: Option<&str>) -> Result<MultiSeries
         None => names.len() - 1,
     };
     Ok(MultiSeries::new(names, channels, target_idx)?)
-}
-
-/// Loads a CSV file.
-pub fn load(path: &Path, target: Option<&str>) -> Result<MultiSeries, CsvError> {
-    parse_multiseries(&std::fs::read_to_string(path)?, target)
 }
 
 /// Serializes a [`MultiSeries`] back to ETT-style CSV (integer-second

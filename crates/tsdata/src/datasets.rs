@@ -1,7 +1,7 @@
 //! Synthetic recreations of the paper's six datasets.
 //!
 //! The real datasets (ETTm1/2, Solar, Weather, ElecDem, Wind) are not
-//! redistributable here, so each is regenerated from [`crate::generators`]
+//! redistributable here, so each is regenerated from `crate::generators`
 //! building blocks and calibrated to the descriptive statistics the paper
 //! reports in Table 1 (length, sampling interval, mean, min, max, Q1, Q3 and
 //! hence rIQD), plus the qualitative structure the paper's analyses rely on:
@@ -157,7 +157,7 @@ impl DatasetKind {
     }
 
     /// Name of the paper's forecasting target variable.
-    pub fn target_name(self) -> &'static str {
+    fn target_name(self) -> &'static str {
         match self {
             DatasetKind::ETTm1 | DatasetKind::ETTm2 => "OT",
             DatasetKind::Solar => "PV_000",

@@ -12,11 +12,9 @@ use crate::stats::{mean, percentile};
 
 /// One additive component of a synthetic signal.
 #[derive(Debug, Clone)]
-pub enum Component {
+pub(crate) enum Component {
     /// Constant offset.
     Constant(f64),
-    /// Linear trend: adds `slope * i` at sample `i`.
-    Trend { slope: f64 },
     /// Sinusoid with a period expressed in samples.
     Seasonal { period: f64, amplitude: f64, phase: f64 },
     /// Sinusoid whose amplitude itself oscillates with a longer period,
@@ -36,60 +34,38 @@ pub enum Component {
     /// Gaussian random walk with per-step std `sigma`, mean-reverting toward
     /// zero with rate `revert` (an Ornstein–Uhlenbeck discretization).
     RandomWalk { sigma: f64, revert: f64 },
-    /// Occasional level shifts: with probability `prob` per sample the level
-    /// jumps by `N(0, scale)` and holds.
-    LevelShifts { prob: f64, scale: f64 },
     /// Heavy-tailed spikes: with probability `prob`, adds
     /// `±Exp(scale)`-distributed bursts (models turbine gusts/outliers).
     Spikes { prob: f64, scale: f64 },
 }
 
 /// A deterministic synthetic signal: a sum of [`Component`]s evaluated over
-/// `n` samples, optionally post-processed.
+/// `n` samples.
 #[derive(Debug, Clone, Default)]
-pub struct SignalSpec {
+pub(crate) struct SignalSpec {
     components: Vec<Component>,
-    clamp: Option<(f64, f64)>,
-    rectify: bool,
 }
 
 impl SignalSpec {
     /// Starts an empty spec.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Adds a component.
-    pub fn with(mut self, c: Component) -> Self {
+    pub(crate) fn with(mut self, c: Component) -> Self {
         self.components.push(c);
         self
     }
 
-    /// Clamps the final signal into `[lo, hi]`.
-    pub fn clamp(mut self, lo: f64, hi: f64) -> Self {
-        self.clamp = Some((lo, hi));
-        self
-    }
-
-    /// Replaces negative values with zero before clamping (solar power).
-    pub fn rectify(mut self) -> Self {
-        self.rectify = true;
-        self
-    }
-
     /// Generates `n` samples using the seeded RNG.
-    pub fn generate(&self, n: usize, rng: &mut StdRng) -> Vec<f64> {
+    pub(crate) fn generate(&self, n: usize, rng: &mut StdRng) -> Vec<f64> {
         let mut out = vec![0.0; n];
         for c in &self.components {
             match *c {
                 Component::Constant(v) => {
                     for x in out.iter_mut() {
                         *x += v;
-                    }
-                }
-                Component::Trend { slope } => {
-                    for (i, x) in out.iter_mut().enumerate() {
-                        *x += slope * i as f64;
                     }
                 }
                 Component::Seasonal { period, amplitude, phase } => {
@@ -120,15 +96,6 @@ impl SignalSpec {
                         *x += level;
                     }
                 }
-                Component::LevelShifts { prob, scale } => {
-                    let mut level = 0.0;
-                    for x in out.iter_mut() {
-                        if rng.random::<f64>() < prob {
-                            level += gaussian(rng) * scale;
-                        }
-                        *x += level;
-                    }
-                }
                 Component::Spikes { prob, scale } => {
                     for x in out.iter_mut() {
                         if rng.random::<f64>() < prob {
@@ -139,25 +106,13 @@ impl SignalSpec {
                 }
             }
         }
-        if self.rectify {
-            for x in out.iter_mut() {
-                if *x < 0.0 {
-                    *x = 0.0;
-                }
-            }
-        }
-        if let Some((lo, hi)) = self.clamp {
-            for x in out.iter_mut() {
-                *x = x.clamp(lo, hi);
-            }
-        }
         out
     }
 }
 
 /// Standard normal sample via Box–Muller (only `rand::Rng::random` needed,
 /// keeping us independent of distribution crates).
-pub fn gaussian(rng: &mut StdRng) -> f64 {
+pub(crate) fn gaussian(rng: &mut StdRng) -> f64 {
     loop {
         let u1: f64 = rng.random();
         if u1 <= f64::MIN_POSITIVE {
@@ -170,7 +125,7 @@ pub fn gaussian(rng: &mut StdRng) -> f64 {
 
 /// Target statistics for [`calibrate`]: the Table-1 columns we match.
 #[derive(Debug, Clone, Copy)]
-pub struct CalibrationTarget {
+pub(crate) struct CalibrationTarget {
     /// Desired mean.
     pub mean: f64,
     /// Desired Q1.
@@ -189,7 +144,7 @@ pub struct CalibrationTarget {
 /// An affine map preserves the signal's *shape* (autocorrelation, seasonal
 /// structure, relative KL shifts), which is what the paper's analyses depend
 /// on, while pinning the Table-1 statistics.
-pub fn calibrate(values: &mut [f64], target: CalibrationTarget) {
+pub(crate) fn calibrate(values: &mut [f64], target: CalibrationTarget) {
     if values.is_empty() {
         return;
     }
@@ -208,7 +163,7 @@ pub fn calibrate(values: &mut [f64], target: CalibrationTarget) {
 }
 
 /// Convenience: seeded RNG for generation.
-pub fn rng(seed: u64) -> StdRng {
+pub(crate) fn rng(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed)
 }
 
@@ -230,11 +185,10 @@ mod tests {
     }
 
     #[test]
-    fn constant_and_trend() {
-        let spec =
-            SignalSpec::new().with(Component::Constant(5.0)).with(Component::Trend { slope: 1.0 });
+    fn constant_offsets_every_sample() {
+        let spec = SignalSpec::new().with(Component::Constant(5.0)).with(Component::Constant(1.5));
         let v = spec.generate(3, &mut rng(0));
-        assert_eq!(v, vec![5.0, 6.0, 7.0]);
+        assert_eq!(v, vec![6.5, 6.5, 6.5]);
     }
 
     #[test]
@@ -245,16 +199,6 @@ mod tests {
         // One full period later, the value repeats.
         assert!((v[0] - v[8]).abs() < 1e-9);
         assert!((v[2] - 1.0).abs() < 1e-9); // sin(pi/2)
-    }
-
-    #[test]
-    fn rectify_and_clamp() {
-        let spec = SignalSpec::new()
-            .with(Component::Seasonal { period: 4.0, amplitude: 10.0, phase: 0.0 })
-            .rectify()
-            .clamp(0.0, 5.0);
-        let v = spec.generate(8, &mut rng(0));
-        assert!(v.iter().all(|&x| (0.0..=5.0).contains(&x)));
     }
 
     #[test]
@@ -301,14 +245,5 @@ mod tests {
         let s = spiky.generate(2000, &mut rng(5));
         assert!(b.iter().all(|&x| x == 0.0));
         assert!(s.iter().any(|&x| x.abs() > 5.0));
-    }
-
-    #[test]
-    fn level_shifts_hold() {
-        let spec = SignalSpec::new().with(Component::LevelShifts { prob: 0.01, scale: 5.0 });
-        let v = spec.generate(3000, &mut rng(9));
-        // piecewise-constant: most consecutive diffs are exactly zero
-        let zeros = v.windows(2).filter(|w| w[0] == w[1]).count();
-        assert!(zeros > 2500, "only {zeros} constant steps");
     }
 }

@@ -9,21 +9,15 @@
 //!   and CR (paper §3.5, Definitions 6–9, Eq. 3).
 //! * [`scaler`] — the standard scaler applied to model inputs (§3.4).
 //! * [`mod@split`] — 70/10/20 chronological splits and sliding windows (§3.6).
-//! * [`generators`] / [`datasets`] — deterministic synthetic recreations of
+//! * `generators` / [`datasets`] — deterministic synthetic recreations of
 //!   the six evaluation datasets calibrated to Table 1.
 //! * [`csv`] — ETT-style CSV import/export for running on real data.
 
 pub mod csv;
 pub mod datasets;
-pub mod generators;
+mod generators;
 pub mod metrics;
 pub mod scaler;
 pub mod series;
 pub mod split;
 pub mod stats;
-
-pub use datasets::{generate, generate_univariate, DatasetKind, GenOptions, ALL_DATASETS};
-pub use metrics::{metric_set, MetricSet};
-pub use scaler::StandardScaler;
-pub use series::{DataPoint, MultiSeries, RegularTimeSeries, SeriesError, TimeSeries};
-pub use split::{split, Split, SplitSpec, Window};

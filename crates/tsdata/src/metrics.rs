@@ -69,7 +69,7 @@ pub fn pearson(x: &[f64], y: &[f64]) -> f64 {
 }
 
 /// `max(x) - min(x)`; 0.0 for an empty slice.
-pub fn range(x: &[f64]) -> f64 {
+fn range(x: &[f64]) -> f64 {
     let mut lo = f64::INFINITY;
     let mut hi = f64::NEG_INFINITY;
     for &v in x {

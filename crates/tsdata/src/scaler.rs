@@ -50,7 +50,7 @@ impl StandardScaler {
     }
 
     /// Scales channel `ch` values in place.
-    pub fn transform_channel(&self, ch: usize, values: &mut [f64]) {
+    fn transform_channel(&self, ch: usize, values: &mut [f64]) {
         let (m, s) = (self.means[ch], self.stds[ch]);
         for v in values {
             *v = (*v - m) / s;
@@ -65,7 +65,7 @@ impl StandardScaler {
     }
 
     /// Inverse-scales channel `ch` values in place.
-    pub fn inverse_channel(&self, ch: usize, values: &mut [f64]) {
+    fn inverse_channel(&self, ch: usize, values: &mut [f64]) {
         let (m, s) = (self.means[ch], self.stds[ch]);
         for v in values {
             *v = *v * s + m;

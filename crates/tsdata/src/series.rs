@@ -2,8 +2,7 @@
 //!
 //! The paper (Definitions 1–3) works exclusively with *regular* time series:
 //! a start timestamp, a constant sampling interval, and a list of values.
-//! [`RegularTimeSeries`] is the central type of the workspace; the irregular
-//! [`TimeSeries`] exists for ingestion and for validating regularity.
+//! [`RegularTimeSeries`] is the central type of the workspace.
 
 use std::fmt;
 
@@ -21,8 +20,6 @@ pub struct DataPoint {
 pub enum SeriesError {
     /// The series has no data points.
     Empty,
-    /// Timestamps are not strictly increasing at the given index.
-    NonMonotonic(usize),
     /// The gap between points at the given index differs from the first gap.
     Irregular(usize),
     /// A zero or negative sampling interval was supplied.
@@ -37,9 +34,6 @@ impl fmt::Display for SeriesError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SeriesError::Empty => write!(f, "time series is empty"),
-            SeriesError::NonMonotonic(i) => {
-                write!(f, "timestamps are not strictly increasing at index {i}")
-            }
             SeriesError::Irregular(i) => {
                 write!(f, "sampling interval changes at index {i}")
             }
@@ -57,65 +51,6 @@ impl fmt::Display for SeriesError {
 }
 
 impl std::error::Error for SeriesError {}
-
-/// An irregular time series: a list of points indexed in time order
-/// (Definition 1). Used only at ingestion boundaries.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct TimeSeries {
-    points: Vec<DataPoint>,
-}
-
-impl TimeSeries {
-    /// Builds a series from points, validating that timestamps strictly
-    /// increase.
-    pub fn new(points: Vec<DataPoint>) -> Result<Self, SeriesError> {
-        for i in 1..points.len() {
-            if points[i].timestamp <= points[i - 1].timestamp {
-                return Err(SeriesError::NonMonotonic(i));
-            }
-        }
-        Ok(TimeSeries { points })
-    }
-
-    /// Number of points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Whether the series has no points.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// The underlying points.
-    pub fn points(&self) -> &[DataPoint] {
-        &self.points
-    }
-
-    /// Checks Definition 2 (constant gap) and converts into a
-    /// [`RegularTimeSeries`].
-    pub fn into_regular(self) -> Result<RegularTimeSeries, SeriesError> {
-        if self.points.is_empty() {
-            return Err(SeriesError::Empty);
-        }
-        if self.points.len() == 1 {
-            // A single point is trivially regular; pick interval 1.
-            return RegularTimeSeries::new(self.points[0].timestamp, 1, vec![self.points[0].value]);
-        }
-        let interval = self.points[1].timestamp - self.points[0].timestamp;
-        if interval <= 0 {
-            return Err(SeriesError::InvalidInterval(interval));
-        }
-        for i in 2..self.points.len() {
-            if self.points[i].timestamp - self.points[i - 1].timestamp != interval {
-                return Err(SeriesError::Irregular(i));
-            }
-        }
-        let start = self.points[0].timestamp;
-        let values = self.points.into_iter().map(|p| p.value).collect();
-        RegularTimeSeries::new(start, interval, values)
-    }
-}
 
 /// A regular time series (Definition 2): `values[i]` was observed at
 /// `start + i * interval` seconds.
@@ -170,16 +105,8 @@ impl RegularTimeSeries {
     }
 
     /// Timestamp of the `i`-th point.
-    pub fn timestamp(&self, i: usize) -> i64 {
+    pub(crate) fn timestamp(&self, i: usize) -> i64 {
         self.start + self.interval * i as i64
-    }
-
-    /// Iterates `(timestamp, value)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = DataPoint> + '_ {
-        self.values
-            .iter()
-            .enumerate()
-            .map(move |(i, &v)| DataPoint { timestamp: self.timestamp(i), value: v })
     }
 
     /// A segment `x_s(i, j)` (Definition 3): points with indices in
@@ -194,18 +121,6 @@ impl RegularTimeSeries {
             self.interval,
             self.values[start..end].to_vec(),
         )
-    }
-
-    /// Returns a copy with the same time axis but different values.
-    /// This is the transformation `T` of Definition 5 applied pointwise.
-    pub fn with_values(&self, values: Vec<f64>) -> Result<RegularTimeSeries, SeriesError> {
-        if values.len() != self.values.len() {
-            return Err(SeriesError::LengthMismatch {
-                left: self.values.len(),
-                right: values.len(),
-            });
-        }
-        RegularTimeSeries::new(self.start, self.interval, values)
     }
 }
 
@@ -355,20 +270,10 @@ impl MultiSeries {
         &self.channels[self.target]
     }
 
-    /// Applies a per-channel transformation (e.g. compress + decompress),
-    /// keeping names and target.
-    pub fn map_channels<F>(&self, f: F) -> Result<MultiSeries, SeriesError>
-    where
-        F: FnMut(&RegularTimeSeries) -> RegularTimeSeries,
-    {
-        let channels: Vec<_> = self.channels.iter().map(f).collect();
-        MultiSeries::new(self.names.clone(), channels, self.target)
-    }
-
-    /// Fallible sibling of [`MultiSeries::map_channels`]: stops at the
-    /// first channel error instead of transforming the remaining
-    /// channels. Use this when the transformation is expensive (e.g. a
-    /// codec round-trip) and a failure anywhere poisons the whole result.
+    /// Applies a fallible per-channel transformation (e.g. compress +
+    /// decompress), keeping names and target. Stops at the first channel
+    /// error instead of transforming the remaining channels, since a
+    /// failure anywhere poisons the whole result.
     pub fn try_map_channels<F, E>(&self, mut f: F) -> Result<MultiSeries, E>
     where
         F: FnMut(&RegularTimeSeries) -> Result<RegularTimeSeries, E>,
@@ -382,7 +287,7 @@ impl MultiSeries {
     }
 
     /// A row-slice over all channels: indices `start..end`.
-    pub fn slice(&self, start: usize, end: usize) -> Result<MultiSeries, SeriesError> {
+    pub(crate) fn slice(&self, start: usize, end: usize) -> Result<MultiSeries, SeriesError> {
         let channels =
             self.channels.iter().map(|c| c.segment(start, end)).collect::<Result<Vec<_>, _>>()?;
         MultiSeries::new(self.names.clone(), channels, self.target)
@@ -393,36 +298,9 @@ impl MultiSeries {
 mod tests {
     use super::*;
 
-    fn pts(ts: &[(i64, f64)]) -> Vec<DataPoint> {
-        ts.iter().map(|&(timestamp, value)| DataPoint { timestamp, value }).collect()
-    }
-
-    #[test]
-    fn timeseries_rejects_non_monotonic() {
-        let err = TimeSeries::new(pts(&[(0, 1.0), (10, 2.0), (10, 3.0)])).unwrap_err();
-        assert_eq!(err, SeriesError::NonMonotonic(2));
-    }
-
-    #[test]
-    fn timeseries_into_regular_roundtrip() {
-        let ts = TimeSeries::new(pts(&[(100, 1.0), (160, 2.0), (220, 3.0)])).unwrap();
-        let r = ts.into_regular().unwrap();
-        assert_eq!(r.start(), 100);
-        assert_eq!(r.interval(), 60);
-        assert_eq!(r.values(), &[1.0, 2.0, 3.0]);
-        assert_eq!(r.timestamp(2), 220);
-    }
-
-    #[test]
-    fn irregular_series_detected() {
-        let ts = TimeSeries::new(pts(&[(0, 1.0), (60, 2.0), (150, 3.0)])).unwrap();
-        assert_eq!(ts.into_regular().unwrap_err(), SeriesError::Irregular(2));
-    }
-
     #[test]
     fn single_point_is_regular() {
-        let ts = TimeSeries::new(pts(&[(42, 7.0)])).unwrap();
-        let r = ts.into_regular().unwrap();
+        let r = RegularTimeSeries::new(42, 60, vec![7.0]).unwrap();
         assert_eq!(r.len(), 1);
         assert_eq!(r.start(), 42);
     }
@@ -451,17 +329,11 @@ mod tests {
     }
 
     #[test]
-    fn with_values_checks_length() {
-        let r = RegularTimeSeries::new(0, 1, vec![1.0, 2.0]).unwrap();
-        assert!(r.with_values(vec![9.0, 8.0]).is_ok());
-        assert!(r.with_values(vec![9.0]).is_err());
-    }
-
-    #[test]
     fn iter_yields_timestamped_points() {
         let r = RegularTimeSeries::new(10, 5, vec![1.0, 2.0, 3.0]).unwrap();
-        let collected: Vec<_> = r.iter().collect();
+        let collected: Vec<_> = r.iter_points().collect();
         assert_eq!(collected[1], DataPoint { timestamp: 15, value: 2.0 });
+        assert_eq!(collected[2].timestamp, r.timestamp(2));
     }
 
     #[test]
@@ -471,11 +343,10 @@ mod tests {
         assert_eq!(src.len(), 3);
         assert_eq!((src.start(), src.interval()), (10, 5));
         assert_eq!(src.iter_values().collect::<Vec<_>>(), vec![1.0, 2.0, 3.0]);
-        assert_eq!(
-            src.iter_points().collect::<Vec<_>>(),
-            r.iter().collect::<Vec<_>>(),
-            "trait points must match the inherent iterator"
-        );
+        let points: Vec<DataPoint> = (0..r.len())
+            .map(|i| DataPoint { timestamp: r.timestamp(i), value: r.values()[i] })
+            .collect();
+        assert_eq!(src.iter_points().collect::<Vec<_>>(), points);
         assert_eq!(src.materialize().unwrap(), r);
     }
 
@@ -496,7 +367,13 @@ mod tests {
         let s = m.slice(1, 3).unwrap();
         assert_eq!(s.target().values(), &[2.0, 3.0]);
         let doubled = m
-            .map_channels(|c| c.with_values(c.values().iter().map(|v| v * 2.0).collect()).unwrap())
+            .try_map_channels(|c| {
+                RegularTimeSeries::new(
+                    c.start(),
+                    c.interval(),
+                    c.values().iter().map(|v| v * 2.0).collect(),
+                )
+            })
             .unwrap();
         assert_eq!(doubled.target().values(), &[2.0, 4.0, 6.0, 8.0]);
     }

@@ -222,8 +222,12 @@ mod tests {
         let raw = series(10);
         // transformed = raw + 100
         let transformed = raw
-            .map_channels(|c| {
-                c.with_values(c.values().iter().map(|v| v + 100.0).collect()).unwrap()
+            .try_map_channels(|c| {
+                RegularTimeSeries::new(
+                    c.start(),
+                    c.interval(),
+                    c.values().iter().map(|v| v + 100.0).collect(),
+                )
             })
             .unwrap();
         let w = make_eval_windows(&raw, &transformed, 3, 2, 1).unwrap();
