@@ -5,8 +5,8 @@
 use criterion::{black_box, Criterion, Throughput};
 
 /// CI short mode (`BENCH_SMOKE=1`): same workloads as full mode and no
-/// in-process floors. The benches CI gates on timings (codecs, inference)
-/// keep the full sample count; the others trim samples or requests.
+/// in-process floors. The benches CI gates on timings (codecs, inference,
+/// store) keep the full sample count; the others trim samples or requests.
 pub fn smoke() -> bool {
     std::env::var("BENCH_SMOKE").is_ok_and(|v| v != "0" && !v.is_empty())
 }
@@ -14,7 +14,7 @@ pub fn smoke() -> bool {
 /// The `calibration/memcpy` row: raw copy bandwidth of this host over
 /// 1 MiB, the unit CI normalises against so a slower runner does not read
 /// as a regression.
-// `store` and `serving` compile this module but record no calibration row.
+// `serving` compiles this module but records no calibration row.
 #[allow(dead_code)]
 pub fn bench_calibration(c: &mut Criterion) {
     let len = 1 << 20;

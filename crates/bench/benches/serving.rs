@@ -13,9 +13,11 @@
 //! review diffs).
 //!
 //! Run with `cargo bench --bench serving`; set `BENCH_SMOKE=1` for the
-//! CI short mode. Full mode asserts mean batch occupancy > 1 at >= 4
-//! concurrent clients: with more clients than the 2 workers, requests
-//! queue while both workers are busy and share `predict_batch` calls.
+//! CI short mode. Occupancy is printed and recorded, not asserted: a
+//! request runs on its own connection thread whenever one of the 2
+//! execution slots is free, so how often requests queue and coalesce
+//! depends on the host's timing. The scheduler's unit tests and the
+//! loopback test pin coalescing deterministically.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -243,20 +245,4 @@ fn main() {
     println!("wrote {path}");
 
     let _ = std::fs::remove_dir_all(&artifacts);
-
-    // Concurrent same-model requests must share batches. Smoke mode keeps
-    // the same workload but skips the gate (CI validates the schema and
-    // re-asserts occupancy).
-    if !smoke() {
-        for r in &results {
-            if r.concurrency >= 4 {
-                assert!(
-                    r.occupancy() > 1.0,
-                    "c{}: mean batch occupancy {:.3} <= 1 — requests are not batching",
-                    r.concurrency,
-                    r.occupancy()
-                );
-            }
-        }
-    }
 }

@@ -1,16 +1,18 @@
 //! Chunked-store throughput bench: ingest points/sec, sealed bytes/point,
-//! chunk read (decode) throughput, and the streaming re-encode transform.
+//! chunk read (decode) throughput, the 96-point trailing window a served
+//! forecast reads, and the streaming re-encode transform.
 //!
 //! Run with `cargo bench --bench store`; set `BENCH_SMOKE=1` for the CI
 //! short mode. Writes `BENCH_store.json` at the workspace root (committed
-//! so regressions show up in review diffs) and asserts the store PR's
-//! acceptance criteria in full mode: >=10M points/sec Gorilla ingest and
-//! <=2 bytes/point on the Gorilla sealed path for integer-grade sensor
-//! data.
+//! so regressions show up in review diffs) and asserts in full mode: at
+//! least 10M points/sec Gorilla ingest, at most 2 bytes/point on the
+//! Gorilla sealed path for integer-grade sensor data, and a window read at
+//! 1,048,576 points costing at most 2x the one at 4,096 (a read decodes
+//! only the chunk it covers).
 
-use common::smoke;
+use common::{bench_calibration, smoke};
 use compression::Method;
-use criterion::{black_box, Criterion, Throughput};
+use criterion::{black_box, BenchmarkId, Criterion, Throughput};
 use store::{ChunkCodec, SeriesId, StoreConfig, TsStore};
 use tsdata::series::SeriesSource;
 
@@ -60,6 +62,32 @@ fn bench_read(c: &mut Criterion, n: usize) {
     group.finish();
 }
 
+/// The trailing 96-point window a served forecast reads
+/// (`read` + `iter_values().skip(len - 96)`): on sealed Gorilla series of
+/// growing length, where it decodes the one chunk holding the window, and
+/// on serve-hot's 512-point open chunk, whose decoded values the store
+/// caches.
+fn bench_tail(c: &mut Criterion) {
+    const WINDOW: usize = 96;
+    let tail = |store: &TsStore| {
+        let view = store.read(SeriesId(0)).expect("series exists");
+        view.iter_values().skip(view.len() - WINDOW).collect::<Vec<f64>>()
+    };
+    let mut group = c.benchmark_group("store_read");
+    group.throughput(Throughput::Elements(WINDOW as u64));
+    for n in [4_096, 65_536, 1_048_576] {
+        let store = ingested(&sensor_points(n), ChunkCodec::Gorilla, 0.0);
+        group.bench_function(BenchmarkId::from_parameter(format!("tail96_{n}")), |b| {
+            b.iter(|| tail(black_box(&store)))
+        });
+    }
+    let open = TsStore::new(StoreConfig::default());
+    open.create_series(SeriesId(0), ChunkCodec::Gorilla, 0.0).expect("fresh store");
+    open.append_batch(SeriesId(0), sensor_points(512)).expect("regular cadence");
+    group.bench_function("tail96_open", |b| b.iter(|| tail(black_box(&open))));
+    group.finish();
+}
+
 /// The store-backed grid's transform: stream staged Gorilla chunks
 /// through the online PMC encoder under an error bound.
 fn bench_transform(c: &mut Criterion, n: usize) {
@@ -76,12 +104,16 @@ fn bench_transform(c: &mut Criterion, n: usize) {
 }
 
 fn main() {
-    let samples = if smoke() { 5 } else { 15 };
-    let mut criterion = Criterion::default().sample_size(samples);
+    // Smoke mode keeps the full-mode sample count, so CI's gate compares
+    // like with like against the committed baseline: a minimum over fewer
+    // samples reads higher.
+    let mut criterion = Criterion::default().sample_size(15);
     let n = 1_000_000;
     bench_ingest(&mut criterion, n);
     bench_read(&mut criterion, n);
+    bench_tail(&mut criterion);
     bench_transform(&mut criterion, 250_000);
+    bench_calibration(&mut criterion);
 
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_store.json");
     criterion.save_json(path).expect("write BENCH_store.json");
@@ -110,10 +142,14 @@ fn main() {
         view.num_chunks()
     );
 
-    // Smoke mode's 5 samples are too few for a hard gate; CI's own check
-    // is the schema validation plus the committed-baseline diff.
+    let tail_growth = min_ns("store_read", "tail96_1048576") / min_ns("store_read", "tail96_4096");
+    println!("96-point window read at 1,048,576 vs 4,096 points: {tail_growth:.2}x");
+
+    // The floors hold in full mode only; CI's own check is the normalised
+    // regression diff against the committed baseline.
     if !smoke() {
         assert!(ingest_pps >= 10e6, "gorilla ingest {:.1}M points/sec < 10M", ingest_pps / 1e6);
         assert!(bpp <= 2.0, "gorilla sealed path {bpp:.3} bytes/point > 2");
+        assert!(tail_growth <= 2.0, "window read grows {tail_growth:.2}x with the series, > 2x");
     }
 }

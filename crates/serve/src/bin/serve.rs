@@ -7,6 +7,10 @@
 //!       [--metrics FILE]
 //! ```
 //!
+//! `--workers N` caps how many forecast batches execute at once; each
+//! runs on the connection thread whose request heads it, so the server
+//! starts no threads for them.
+//!
 //! Prints `serve: listening on ADDR` once the socket is bound (the smoke
 //! harness and scripts parse this line), then serves until a `shutdown`
 //! request arrives. With `--metrics FILE` the final Prometheus dump is

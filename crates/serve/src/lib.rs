@@ -1,9 +1,9 @@
 //! # serve — the forecast-serving front end
 //!
-//! Turns the batch evaluation harness into an online service (ROADMAP
-//! item 4, DESIGN.md §14): a threaded `std::net` TCP server speaking a
-//! small length-prefixed binary protocol ([`wire`]) with `ingest`,
-//! `forecast`, `compress`, `stats`, and `metrics` request types.
+//! Turns the batch evaluation harness into an online service (DESIGN.md
+//! §14): a threaded `std::net` TCP server speaking a small
+//! length-prefixed binary protocol ([`wire`]) with `ingest`, `forecast`,
+//! `compress`, `stats`, and `metrics` request types.
 //!
 //! Three subsystems compose it:
 //!
@@ -12,18 +12,21 @@
 //!   `(dataset, model, method, eps)`. Cold keys fault in lazily from the
 //!   manifest ([`ArtifactStore::list_keys`]) and the registry evicts
 //!   least-recently-used models when its byte budget fills.
-//! * [`scheduler::Scheduler`] — the batching heart: an idle worker takes
-//!   the oldest queued forecast request at once, together with every
-//!   queued request for the same model, into one
-//!   [`forecast::model::Forecaster::predict_batch`] call (bounded batch,
-//!   no wait). Admission control bounds the jobs in flight — a full
+//! * [`scheduler::Scheduler`] — the batching heart: a request that finds
+//!   an execution slot free runs at once on its own connection thread;
+//!   while every slot is busy, requests queue, and a freed slot takes the
+//!   oldest queued request together with every queued request for the
+//!   same model into one [`forecast::model::Forecaster::predict_batch`]
+//!   call (bounded batch, no wait), run by the thread of the request that
+//!   heads it. Admission control bounds the jobs in flight — a full
 //!   queue rejects with a typed `Overloaded` response instead of growing
 //!   memory.
 //! * [`server::Server`] — the TCP front end routing requests: `ingest`
 //!   appends points into a [`store::TsStore`], `forecast` windows the
 //!   last `input_len` points straight off store chunks via
-//!   [`tsdata::series::SeriesSource`], `compress` streams a series
-//!   through the paper's error-bounded codecs.
+//!   [`tsdata::series::SeriesSource`], decoding only the chunk that holds
+//!   them, `compress` streams a series through the paper's error-bounded
+//!   codecs.
 //!
 //! Served forecasts are **bit-identical** to offline
 //! [`forecast::model::Forecaster::predict`]: batching stacks windows

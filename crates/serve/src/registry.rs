@@ -84,8 +84,9 @@ impl Default for RegistryConfig {
 }
 
 /// One warm model. The forecaster sits behind a mutex because
-/// [`Forecaster::predict_batch`] takes `&mut self` on some families
-/// (internal scratch); the scheduler serialises batches per entry anyway.
+/// [`Forecaster`] is `Send` but not `Sync`, though
+/// [`Forecaster::predict_batch`] takes `&self`. Two execution slots can
+/// hold batches of one entry at once; the second waits on this mutex.
 pub struct ModelEntry {
     /// The spec this entry serves.
     pub spec: ModelSpec,

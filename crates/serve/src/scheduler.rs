@@ -1,20 +1,26 @@
 //! The batching scheduler: work-conserving batching + admission control.
 //!
-//! Forecast jobs enter one FIFO queue guarded by an inflight counter —
-//! when [`SchedulerConfig::queue_depth`] jobs are queued or executing,
-//! the next submit is rejected *before queueing* with
+//! Forecast jobs are counted by an inflight counter — when
+//! [`SchedulerConfig::queue_depth`] jobs are queued or executing, the
+//! next submit is rejected *before queueing* with
 //! [`ServeError::Overloaded`], so memory stays bounded under any load.
 //!
-//! Batching is work-conserving: an idle worker takes the oldest queued
-//! job at once, together with every queued job for the same registry
-//! entry, up to [`SchedulerConfig::max_batch`]. Jobs pile up only while
-//! every worker is busy, so the arrivals during an in-flight batch form
-//! the next batch and no request waits for companions. The worker stacks
-//! the batch's windows into one `[n, input_len]` tensor and makes a
-//! single [`Forecaster::predict_batch`] call — `n` requests pay one
-//! dispatch. Rows come back to each requester bit-identical to a
-//! per-window [`Forecaster::predict`] (the batch-identity contract
-//! pinned in `forecast/tests/batch_identity.rs`).
+//! At most [`SchedulerConfig::workers`] batches execute at once, each on
+//! a submitting thread. A submit that finds an
+//! execution slot free runs its job at once, as a batch of one, on its own
+//! thread. Otherwise the job joins one FIFO queue and its thread sleeps.
+//! When a batch ends, its thread takes the oldest queued job together
+//! with every queued job for the same registry entry, up to
+//! [`SchedulerConfig::max_batch`], and hands that batch, with the slot,
+//! to the thread whose job heads it; only an empty queue frees the slot.
+//! Jobs queue only while every slot is busy, so the arrivals during an
+//! in-flight batch form the next batch, no request waits for companions,
+//! and running inline never overtakes a queued job. The batch's windows
+//! are stacked into one `[n, input_len]` tensor for a single
+//! [`Forecaster::predict_batch`] call — `n` requests pay one dispatch.
+//! Rows come back to each requester bit-identical to a per-window
+//! [`Forecaster::predict`] (the batch-identity contract pinned in
+//! `forecast/tests/batch_identity.rs`).
 //!
 //! [`Forecaster::predict`]: forecast::Forecaster::predict
 //! [`Forecaster::predict_batch`]: forecast::Forecaster::predict_batch
@@ -22,7 +28,7 @@
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use crossbeam::channel::{self, Sender};
@@ -41,9 +47,10 @@ pub struct SchedulerConfig {
     /// Admission bound: maximum forecast jobs in flight (queued or
     /// executing).
     pub queue_depth: usize,
-    /// Maximum jobs one worker takes into one `predict_batch` call.
+    /// Maximum jobs one `predict_batch` call takes.
     pub max_batch: usize,
-    /// Worker threads executing batches.
+    /// At most this many batches execute at once, each on a submitting
+    /// thread.
     pub workers: usize,
 }
 
@@ -53,10 +60,21 @@ impl Default for SchedulerConfig {
     }
 }
 
+/// A queued job; its submitter sleeps on the other end of `reply`.
 struct Job {
     entry: Arc<ModelEntry>,
     window: Vec<f64>,
-    reply: Sender<Result<Vec<f64>, String>>,
+    reply: Sender<Handoff>,
+}
+
+/// What wakes a queued job's submitter.
+enum Handoff {
+    /// Another thread ran the job: its row, or the batch's error.
+    Done(Result<Vec<f64>, String>),
+    /// The job heads the next batch, which its submitter now runs in the
+    /// slot it is handed: the job's own entry and window, and the jobs
+    /// that joined it.
+    Run { entry: Arc<ModelEntry>, window: Vec<f64>, rest: Vec<Job> },
 }
 
 /// Cumulative scheduler counters (kept independently of the telemetry
@@ -71,42 +89,15 @@ pub struct SchedulerStats {
     pub rejected: AtomicU64,
 }
 
-/// The job queue; `closed` tells idle workers to exit.
+/// The jobs waiting for a slot and the slots taken.
 struct Queue {
     jobs: VecDeque<Job>,
-    closed: bool,
-}
-
-/// What the submitters and the workers share.
-struct Shared {
-    queue: Mutex<Queue>,
-    /// Signalled on every enqueue and on close.
-    ready: Condvar,
-    stats: SchedulerStats,
+    /// Batches executing now, at most `workers`. Jobs queue only while
+    /// every slot is taken, and a slot frees only when `jobs` is empty.
+    running: usize,
 }
 
 const QUEUE_NEVER_POISONED: &str = "no thread panics while holding the scheduler queue";
-
-impl Shared {
-    fn lock(&self) -> MutexGuard<'_, Queue> {
-        self.queue.lock().expect(QUEUE_NEVER_POISONED)
-    }
-
-    /// Blocks until a job is queued and takes its batch; `None` once the
-    /// queue is closed and empty.
-    fn next_batch(&self, max_batch: usize) -> Option<Vec<Job>> {
-        let mut queue = self.lock();
-        loop {
-            if let Some(jobs) = take_batch(&mut queue.jobs, max_batch) {
-                return Some(jobs);
-            }
-            if queue.closed {
-                return None;
-            }
-            queue = self.ready.wait(queue).expect(QUEUE_NEVER_POISONED);
-        }
-    }
-}
 
 /// Removes the oldest job and every later job for the same registry
 /// entry, up to `max_batch`; the other jobs keep their order.
@@ -125,48 +116,42 @@ fn take_batch(queue: &mut VecDeque<Job>, max_batch: usize) -> Option<Vec<Job>> {
     Some(jobs)
 }
 
-/// The batching scheduler. Dropping it closes the queue and joins the
-/// workers.
+/// The batching scheduler.
 pub struct Scheduler {
-    shared: Arc<Shared>,
+    queue: Mutex<Queue>,
     inflight: AtomicUsize,
     config: SchedulerConfig,
-    workers: Vec<std::thread::JoinHandle<()>>,
+    stats: SchedulerStats,
 }
 
 impl Scheduler {
-    /// Starts the worker pool.
+    /// Creates the scheduler with every execution slot free.
     pub fn start(config: SchedulerConfig) -> Scheduler {
         assert!(config.queue_depth >= 1 && config.max_batch >= 1 && config.workers >= 1);
-        let shared = Arc::new(Shared {
-            queue: Mutex::new(Queue { jobs: VecDeque::new(), closed: false }),
-            ready: Condvar::new(),
+        Scheduler {
+            queue: Mutex::new(Queue { jobs: VecDeque::new(), running: 0 }),
+            inflight: AtomicUsize::new(0),
+            config,
             stats: SchedulerStats::default(),
-        });
-        let workers = (0..config.workers)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("serve-worker-{i}"))
-                    .spawn(move || worker_loop(&shared, config.max_batch))
-                    .expect("spawn worker")
-            })
-            .collect();
-        Scheduler { shared, inflight: AtomicUsize::new(0), config, workers }
+        }
     }
 
     /// Cumulative counters.
     pub fn stats(&self) -> &SchedulerStats {
-        &self.shared.stats
+        &self.stats
     }
 
-    /// Submits one forecast job and blocks for its result. A `window`
-    /// that is not exactly `entry.input_len` long is rejected with a
-    /// typed error before admission (it would otherwise panic a batch
-    /// worker during staging). Fails fast with [`ServeError::Overloaded`]
-    /// when `queue_depth` jobs are in flight; the admission slot is held
-    /// by an RAII guard, so every exit — success, error, or panic —
-    /// releases it.
+    fn lock(&self) -> MutexGuard<'_, Queue> {
+        self.queue.lock().expect(QUEUE_NEVER_POISONED)
+    }
+
+    /// Submits one forecast job and blocks for its result, running its
+    /// batch on this thread when a slot is free. A `window` that is not
+    /// exactly `entry.input_len` long is rejected with a typed error
+    /// before admission (it would otherwise panic a batch during
+    /// staging). Fails fast with [`ServeError::Overloaded`] when
+    /// `queue_depth` jobs are in flight; the admission slot is held by an
+    /// RAII guard, so every exit — success, error, or panic — releases it.
     pub fn forecast(
         &self,
         entry: Arc<ModelEntry>,
@@ -180,24 +165,86 @@ impl Scheduler {
             )));
         }
         let depth = self.config.queue_depth;
-        let (reply, reply_rx) = channel::bounded(1);
-        // Admission and enqueue share one critical section, so every job
-        // counted in flight is already queued or executing.
-        let mut queue = self.shared.lock();
-        let Some(_slot) = AdmissionGuard::try_acquire(&self.inflight, depth) else {
+        // Admission and the slot-or-queue choice share one critical
+        // section, so every job counted in flight is queued or executing.
+        let mut queue = self.lock();
+        let Some(_admitted) = AdmissionGuard::try_acquire(&self.inflight, depth) else {
             drop(queue);
-            self.shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
+            self.stats.rejected.fetch_add(1, Ordering::Relaxed);
             counter_add("serve_rejected_total", &[], 1);
             return Err(ServeError::Overloaded { depth });
         };
-        queue.jobs.push_back(Job { entry, window, reply });
-        drop(queue);
-        self.shared.ready.notify_one();
-        match reply_rx.recv() {
-            Ok(Ok(values)) => Ok(values),
-            Ok(Err(msg)) => Err(ServeError::Model(msg)),
-            Err(_) => Err(ServeError::ShuttingDown),
+        let (entry, window, rest) = if queue.running < self.config.workers {
+            queue.running += 1;
+            drop(queue);
+            (entry, window, Vec::new())
+        } else {
+            let (reply, reply_rx) = channel::bounded(1);
+            queue.jobs.push_back(Job { entry, window, reply });
+            drop(queue);
+            match reply_rx.recv() {
+                Ok(Handoff::Done(Ok(values))) => return Ok(values),
+                Ok(Handoff::Done(Err(msg))) => return Err(ServeError::Model(msg)),
+                Ok(Handoff::Run { entry, window, rest }) => (entry, window, rest),
+                Err(_) => return Err(ServeError::ShuttingDown),
+            }
+        };
+        let _slot = SlotGuard { scheduler: self };
+        self.run_batch(&entry, window, rest).map_err(ServeError::Model)
+    }
+
+    /// Runs the batch of `window` for `entry` and the jobs in `rest`,
+    /// replies to `rest`, and returns the first row.
+    fn run_batch(
+        &self,
+        entry: &ModelEntry,
+        window: Vec<f64>,
+        rest: Vec<Job>,
+    ) -> Result<Vec<f64>, String> {
+        let n = 1 + rest.len();
+        self.stats.batches.fetch_add(1, Ordering::Relaxed);
+        self.stats.batched_jobs.fetch_add(n as u64, Ordering::Relaxed);
+        counter_add("serve_batches_total", &[], 1);
+        counter_add("serve_batch_jobs_total", &[], n as u64);
+        telemetry::global().metrics().observe_with(
+            "serve_batch_occupancy",
+            &[],
+            &OCCUPANCY_BOUNDS,
+            n as f64,
+        );
+        let (input_len, horizon) = (entry.input_len, entry.horizon);
+        let mut windows = Tensor::zeros(n, input_len);
+        let rows = std::iter::once(&window).chain(rest.iter().map(|job| &job.window));
+        for (row, w) in windows.data_mut().chunks_mut(input_len).zip(rows) {
+            row.copy_from_slice(w);
         }
+        let started = Instant::now();
+        // The model call is trapped: a panicking `predict_batch` must
+        // become an error reply to every job in the batch, not an unwind
+        // through the submitting thread's connection handler. (parking_lot
+        // mutexes do not poison, so the entry stays usable.)
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            let model = entry.model.lock();
+            model.predict_batch(&windows)
+        }));
+        observe("serve_predict_seconds", &[("model", &entry.spec.model)], secs(started.elapsed()));
+        let preds = match result {
+            Ok(Ok(t)) if t.rows() == n && t.cols() == horizon => Ok(t),
+            Ok(Ok(t)) => {
+                Err(format!("predict_batch returned {:?}, expected [{n}, {horizon}]", t.shape()))
+            }
+            Ok(Err(e)) => Err(e.to_string()),
+            Err(payload) => {
+                counter_add("serve_predict_panics_total", &[], 1);
+                Err(format!("predict_batch panicked: {}", panic_text(payload.as_ref())))
+            }
+        };
+        let row =
+            |i: usize| preds.as_ref().map(|t| t.data()[i * horizon..(i + 1) * horizon].to_vec());
+        for (i, job) in rest.into_iter().enumerate() {
+            let _ = job.reply.send(Handoff::Done(row(i + 1).map_err(String::clone)));
+        }
+        row(0).map_err(String::clone)
     }
 }
 
@@ -226,82 +273,26 @@ impl Drop for AdmissionGuard<'_> {
     }
 }
 
-impl Drop for Scheduler {
+/// A held execution slot. Its `Drop` — after a batch, an error or a
+/// panic alike — passes the slot with the next queued batch to the
+/// thread whose job heads it, or frees the slot when the queue is empty.
+struct SlotGuard<'a> {
+    scheduler: &'a Scheduler,
+}
+
+impl Drop for SlotGuard<'_> {
     fn drop(&mut self) {
-        // `forecast` borrows the scheduler until its reply arrives, so no
-        // job is queued here; closing the queue lets the idle workers exit.
-        self.shared.queue.lock().unwrap_or_else(PoisonError::into_inner).closed = true;
-        self.shared.ready.notify_all();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-    }
-}
-
-fn worker_loop(shared: &Shared, max_batch: usize) {
-    while let Some(jobs) = shared.next_batch(max_batch) {
-        let n = jobs.len();
-        shared.stats.batches.fetch_add(1, Ordering::Relaxed);
-        shared.stats.batched_jobs.fetch_add(n as u64, Ordering::Relaxed);
-        counter_add("serve_batches_total", &[], 1);
-        counter_add("serve_batch_jobs_total", &[], n as u64);
-        telemetry::global().metrics().observe_with(
-            "serve_batch_occupancy",
-            &[],
-            &OCCUPANCY_BOUNDS,
-            n as f64,
-        );
-        run_batch(jobs);
-    }
-}
-
-fn run_batch(jobs: Vec<Job>) {
-    let n = jobs.len();
-    let entry = &jobs[0].entry;
-    let input_len = entry.input_len;
-    let horizon = entry.horizon;
-    let mut windows = Tensor::zeros(n, input_len);
-    for (row, job) in jobs.iter().enumerate() {
-        windows.data_mut()[row * input_len..(row + 1) * input_len].copy_from_slice(&job.window);
-    }
-    let started = Instant::now();
-    // The model call is trapped: a panicking `predict_batch` must become
-    // an error reply to every job in the batch, not a dead worker thread
-    // that silently shrinks the pool for the rest of the process.
-    // (parking_lot mutexes do not poison, so the entry stays usable.)
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        let model = entry.model.lock();
-        model.predict_batch(&windows)
-    }));
-    observe("serve_predict_seconds", &[("model", &entry.spec.model)], secs(started.elapsed()));
-    let preds = match result {
-        Ok(Ok(t)) => t,
-        Ok(Err(e)) => {
-            let msg = e.to_string();
-            for job in jobs {
-                let _ = job.reply.send(Err(msg.clone()));
-            }
+        let scheduler = self.scheduler;
+        let mut queue = scheduler.queue.lock().unwrap_or_else(PoisonError::into_inner);
+        let Some(mut jobs) = take_batch(&mut queue.jobs, scheduler.config.max_batch) else {
+            queue.running -= 1;
             return;
-        }
-        Err(payload) => {
-            counter_add("serve_predict_panics_total", &[], 1);
-            let msg = format!("predict_batch panicked: {}", panic_text(payload.as_ref()));
-            for job in jobs {
-                let _ = job.reply.send(Err(msg.clone()));
-            }
-            return;
-        }
-    };
-    if preds.rows() != n || preds.cols() != horizon {
-        let msg = format!("predict_batch returned {:?}, expected [{n}, {horizon}]", preds.shape());
-        for job in jobs {
-            let _ = job.reply.send(Err(msg.clone()));
-        }
-        return;
-    }
-    for (row, job) in jobs.into_iter().enumerate() {
-        let values = preds.data()[row * horizon..(row + 1) * horizon].to_vec();
-        let _ = job.reply.send(Ok(values));
+        };
+        drop(queue);
+        let Job { entry, window, reply } = jobs.remove(0);
+        // The head's submitter sleeps in `recv` until this send, so the
+        // receiver is alive.
+        let _ = reply.send(Handoff::Run { entry, window, rest: jobs });
     }
 }
 
@@ -323,6 +314,7 @@ mod tests {
     use evalcore::artifact::ArtifactKey;
     use forecast::model::Forecaster;
     use forecast::{build_model, BuildOptions, ForecastError, Profile};
+    use std::sync::Condvar;
     use std::time::{Duration, Instant};
     use tsdata::datasets::{generate, DatasetKind, GenOptions};
     use tsdata::series::MultiSeries;
@@ -470,7 +462,7 @@ mod tests {
 
     #[test]
     fn concurrent_same_model_requests_coalesce() {
-        // One worker, held by the gate inside a batch of one A job. The
+        // One slot, held by the gate inside a batch of one A job. The
         // jobs queued meanwhile (A, B, A) run oldest entry first, and an
         // entry's batch never takes another entry's job.
         let gate = Arc::new(Gate::default());
@@ -494,11 +486,11 @@ mod tests {
                 let (sched, entry, w) = (&sched, Arc::clone(entry), window(k));
                 handles.push(s.spawn(move || sched.forecast(entry, w)));
                 if k == 0 {
-                    wait_until("the worker holds the first job", || {
+                    wait_until("the first job holds the slot", || {
                         sched.stats().batches.load(Ordering::Relaxed) == 1
                     });
                 } else {
-                    wait_until("the job is queued", || sched.shared.lock().jobs.len() == k);
+                    wait_until("the job is queued", || sched.lock().jobs.len() == k);
                 }
             }
             gate.open();
@@ -515,6 +507,57 @@ mod tests {
         );
         assert_eq!(sched.stats().batches.load(Ordering::Relaxed), 3);
         assert_eq!(sched.stats().batched_jobs.load(Ordering::Relaxed), 4);
+    }
+
+    #[test]
+    fn a_freed_slot_runs_the_oldest_entrys_queued_batch() {
+        // Two slots, held by the gate inside batches of one A job and one
+        // B job. The jobs queued meanwhile (A, B, A) run as [A, A] and
+        // [B], each in a slot the first two hand on.
+        let gate = Arc::new(Gate::default());
+        let log = BatchLog::default();
+        let gated = |id: u64, tag: u64| {
+            entry_with(
+                id,
+                Box::new(GatedModel { tag, gate: Arc::clone(&gate), log: Arc::clone(&log) }),
+            )
+        };
+        let (a, b) = (gated(1, 100), gated(2, 200));
+        let sched = Scheduler::start(SchedulerConfig { workers: 2, ..Default::default() });
+        let window =
+            |k: usize| -> Vec<f64> { (0..INPUT_LEN).map(|i| k as f64 + i as f64 / 64.0).collect() };
+        let entries = [&a, &b, &a, &b, &a];
+        std::thread::scope(|s| {
+            let mut handles = Vec::new();
+            for (k, entry) in entries.into_iter().enumerate() {
+                let (sched, entry, w) = (&sched, Arc::clone(entry), window(k));
+                handles.push(s.spawn(move || sched.forecast(entry, w)));
+                if k < 2 {
+                    wait_until("the job holds a slot", || {
+                        sched.stats().batches.load(Ordering::Relaxed) == k as u64 + 1
+                    });
+                } else {
+                    wait_until("the job is queued", || sched.lock().jobs.len() == k - 1);
+                }
+            }
+            gate.open();
+            for (k, (handle, entry)) in handles.into_iter().zip(entries).enumerate() {
+                let served = handle.join().unwrap().expect("forecast succeeds");
+                let direct = entry.model.lock().predict(&[window(k)]).expect("direct predict");
+                assert_eq!(served, direct, "job {k} must get its own window's row");
+            }
+        });
+        // The two slots run concurrently, so only the set of batches is
+        // fixed, not their order in the log.
+        let mut batches = log.lock().unwrap().clone();
+        batches.sort_by(|x, y| x.partial_cmp(y).expect("no NaN"));
+        assert_eq!(
+            batches,
+            [(100, vec![0.0]), (100, vec![2.0, 4.0]), (200, vec![1.0]), (200, vec![3.0])],
+            "A and B alone, then A+A and B"
+        );
+        assert_eq!(sched.inflight.load(Ordering::SeqCst), 0, "no admission slot leaked");
+        assert_eq!(sched.lock().running, 0, "both execution slots are free");
     }
 
     #[test]
@@ -581,13 +624,13 @@ mod tests {
     }
 
     #[test]
-    fn panicking_model_errors_jobs_without_leaking_slots_or_workers() {
+    fn panicking_model_errors_jobs_without_leaking_slots() {
         // Regression for the admission-counter leak: with the old manual
         // increment/decrement pairs, a panicking predict killed the batch
-        // worker, the reply channel died, and the guard-free error path
+        // thread, the reply channel died, and the guard-free error path
         // meant repeated failures pinned `inflight` above the bound. The
-        // panic must now come back as a Model error, release its slot,
-        // and leave the worker pool alive.
+        // panic must now come back as a Model error and release both its
+        // admission slot and its execution slot.
         let entry = panicky_entry(9);
         let sched = Scheduler::start(SchedulerConfig { queue_depth: 2, ..Default::default() });
         for _ in 0..5 {
@@ -597,8 +640,8 @@ mod tests {
             }
         }
         assert_eq!(sched.inflight.load(Ordering::SeqCst), 0, "no admission slot leaked");
-        // More failures than workers existed, yet a healthy model still
-        // serves: no worker thread died to the panics.
+        assert_eq!(sched.lock().running, 0, "no execution slot leaked");
+        // More failures than slots exist, yet a healthy model still serves.
         let served = sched.forecast(fitted_entry(1), vec![0.0; INPUT_LEN]).unwrap();
         assert_eq!(served.len(), HORIZON);
     }

@@ -7,8 +7,9 @@
 //!   series with the requested chunk codec on first touch;
 //! * `forecast` resolves the model through the warm registry, windows
 //!   the last `input_len` points straight off store chunks (the
-//!   [`SeriesSource`] read path — no intermediate materialised copy of
-//!   the whole series), and submits to the batching scheduler;
+//!   [`SeriesSource`] read path, which decodes only the chunk holding
+//!   them), and submits to the batching scheduler, which runs the batch
+//!   on this connection's thread whenever an execution slot is free;
 //! * `compress` streams the stored series through one of the paper's
 //!   error-bounded codecs;
 //! * `stats` returns the server's own counters as key=value text and
@@ -26,7 +27,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use compression::Method;
-use store::{ChunkCodec, SeriesId, StoreConfig, TsStore};
+use store::{ChunkCodec, SeriesId, StoreConfig, StoreError, TsStore};
 use telemetry::{counter_add, observe, secs};
 use tsdata::series::SeriesSource;
 
@@ -275,7 +276,11 @@ fn handle_ingest(
     if inner.store.series_len(id).is_err() {
         let codec =
             ChunkCodec::from_tag(codec_tag).map_err(|e| ServeError::Store(e.to_string()))?;
-        inner.store.create_series(id, codec, eps).map_err(|e| ServeError::Store(e.to_string()))?;
+        match inner.store.create_series(id, codec, eps) {
+            // Another connection created the series since the probe.
+            Ok(()) | Err(StoreError::DuplicateSeries(_)) => {}
+            Err(e) => return Err(ServeError::Store(e.to_string())),
+        }
     }
     let appended = points.len();
     inner.store.append_batch(id, points).map_err(|e| ServeError::Store(e.to_string()))?;
@@ -296,7 +301,9 @@ fn handle_forecast(
     if len < entry.input_len {
         return Err(ServeError::SeriesTooShort { needed: entry.input_len, got: len });
     }
-    // The trailing window, streamed straight off the chunk decoders.
+    // The trailing window: `skip` steps over whole chunks undecoded, so
+    // this decodes at most the one chunk holding the window (none when
+    // the window lies in the open chunk, whose values the store caches).
     let window: Vec<f64> = view.iter_values().skip(len - entry.input_len).collect();
     let values = inner.scheduler.forecast(entry, window)?;
     Ok(Response::Forecast { values })

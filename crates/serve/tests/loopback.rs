@@ -1,7 +1,8 @@
 //! End-to-end loopback tests for the serving stack: the bit-identity
 //! contract over real TCP for every model family, work-conserving
-//! batching + admission control under a gated model, registry LRU eviction, and
-//! protocol robustness against malformed frames.
+//! batching + admission control under a gated model, racing first ingests
+//! into a new series, registry LRU eviction, and protocol robustness
+//! against malformed frames.
 
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -305,6 +306,50 @@ fn requests_coalesce_and_overflow_is_rejected_typed() {
     assert!(stats.contains("batches=2\n"), "stats:\n{stats}");
     assert!(stats.contains(&format!("batched_jobs={depth}\n")), "stats:\n{stats}");
     assert!(stats.contains("overloaded=1\n"), "stats:\n{stats}");
+    server.stop();
+}
+
+/// Two connections whose first ingests into the same fresh series race:
+/// the one that loses the race to create the series appends to it instead
+/// of failing. The clients meet at a spinning barrier before each series;
+/// before the fix, runs of this shape saw 11 to 127 of the 2,000 series
+/// refuse one client's first point. Each client sends one point per
+/// series, so when the later timestamp lands first the other is refused
+/// for its cadence, never for the series existing.
+#[test]
+fn racing_first_ingests_into_a_new_series_both_append() {
+    const SERIES: u64 = 2_000;
+    let registry = Arc::new(ModelRegistry::empty(RegistryConfig::default()));
+    let mut server = Server::start(ServeConfig::default(), registry).expect("server starts");
+    let addr = server.local_addr();
+    let barrier = Arc::new(AtomicUsize::new(0));
+    let clients: Vec<_> = (0..2i64)
+        .map(|client| {
+            let barrier = Arc::clone(&barrier);
+            std::thread::spawn(move || {
+                let mut c = Client::connect(addr).expect("connect");
+                let ingest = |s: u64| {
+                    barrier.fetch_add(1, Ordering::SeqCst);
+                    while barrier.load(Ordering::SeqCst) < 2 * s as usize {
+                        std::hint::spin_loop();
+                    }
+                    c.ingest(s, 0, 0.0, &[(client * 60, 1.0)])
+                };
+                (1..=SERIES).map(ingest).collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    for client in clients {
+        for reply in client.join().expect("client thread") {
+            match reply {
+                Ok(total) => assert!(total == 1 || total == 2, "total {total}"),
+                Err(ServeError::Model(msg)) => assert!(msg.contains("breaks cadence"), "{msg}"),
+                Err(e) => panic!("unexpected ingest failure: {e}"),
+            }
+        }
+    }
+    let stats = Client::connect(addr).expect("connect").stats().expect("stats");
+    assert!(stats.contains(&format!("store_series={SERIES}\n")), "stats:\n{stats}");
     server.stop();
 }
 

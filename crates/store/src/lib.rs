@@ -1,13 +1,15 @@
 //! # store — streaming chunked time-series store
 //!
-//! The Gorilla-shaped ingestion/serving layer (ROADMAP item 1): points are
+//! The Gorilla-shaped ingestion/serving layer (DESIGN.md §12): points are
 //! appended one at a time into a per-series *active chunk*, sealed into
 //! immutable, CRC-protected [`SealedChunk`]s when the chunk reaches the
 //! configured point count or time span, and read back through
 //! chunk-at-a-time decoding iterators ([`StoreSeries`] /
 //! [`iter::PointIter`]) that implement [`tsdata::series::SeriesSource`] —
 //! so everything above (windowers, evaluation scenarios) reads the store
-//! without materialising whole series.
+//! without materialising whole series. A read decodes only the chunks it
+//! covers: skipping steps over whole chunks by their point count, and the
+//! open chunk's decoded values are cached until the next append.
 //!
 //! Each series carries its own codec selection: [`ChunkCodec::Gorilla`]
 //! stages raw data losslessly (delta-of-delta timestamps + XOR values),
@@ -130,9 +132,18 @@ struct Shard {
     /// reads of an unchanged series reuse the cached frame instead of
     /// clone-sealing (re-encoding) the open chunk on every call.
     generation: u64,
-    /// The cached snapshot-seal of the open chunk, tagged with the
-    /// generation it captured.
-    snapshot: Option<(u64, Arc<SealedChunk>)>,
+    /// The cached snapshot-seal of the open chunk and its decoded values,
+    /// tagged with the generation they captured.
+    snapshot: Option<Snapshot>,
+}
+
+/// A snapshot-seal of an open chunk, with the values its frame decodes to
+/// so that reads of an unchanged series decode nothing.
+#[derive(Debug)]
+struct Snapshot {
+    generation: u64,
+    frame: Arc<SealedChunk>,
+    values: Arc<[f64]>,
 }
 
 impl Shard {
@@ -280,30 +291,28 @@ impl TsStore {
 
     /// A read snapshot of `id`. Sealed chunks are shared by reference; an
     /// open chunk is snapshot-sealed (the live encoder is untouched, so
-    /// reading does not perturb segmentation).
+    /// reading does not perturb segmentation) and decoded once, both
+    /// cached until the next append.
     pub fn read(&self, id: SeriesId) -> Result<StoreSeries, StoreError> {
         let shard = self.shard(id)?;
-        let mut s = shard.lock();
+        let mut guard = shard.lock();
+        let s = &mut *guard;
         let mut chunks = s.sealed.clone();
-        if s.active.is_some() {
-            // Reuse the cached snapshot-seal while the series is clean;
-            // re-encode (and re-tag the cache) only after new appends.
-            let cached = match &s.snapshot {
-                Some((generation, frame)) if *generation == s.generation => Some(frame.clone()),
-                _ => None,
-            };
-            let frame = match cached {
-                Some(frame) => frame,
-                None => {
-                    let active = s.active.clone().expect("checked above");
-                    let frame = Arc::new(active.seal(s.seal_interval(), s.eps)?);
-                    s.snapshot = Some((s.generation, frame.clone()));
-                    frame
-                }
-            };
-            chunks.push(frame);
+        let mut tail = None;
+        if let Some(active) = &s.active {
+            // Reuse the cached snapshot while the series is clean; re-seal
+            // and decode (and re-tag the cache) only after new appends.
+            if s.snapshot.as_ref().is_none_or(|snap| snap.generation != s.generation) {
+                let frame = active.clone().seal(s.seal_interval(), s.eps)?;
+                let values = frame.decode()?.into_values().into();
+                s.snapshot =
+                    Some(Snapshot { generation: s.generation, frame: Arc::new(frame), values });
+            }
+            let snap = s.snapshot.as_ref().expect("refreshed above");
+            chunks.push(Arc::clone(&snap.frame));
+            tail = Some(Arc::clone(&snap.values));
         }
-        Ok(StoreSeries::new(s.start_ts, s.seal_interval(), chunks))
+        Ok(StoreSeries::new(s.start_ts, s.seal_interval(), chunks, tail))
     }
 }
 
@@ -343,7 +352,7 @@ mod tests {
     use super::*;
     use tsdata::series::RegularTimeSeries;
 
-    fn wave(n: usize) -> Vec<f64> {
+    pub(crate) fn wave(n: usize) -> Vec<f64> {
         (0..n).map(|i| 40.0 + 10.0 * (i as f64 * 0.13).sin() + (i % 7) as f64 * 0.5).collect()
     }
 
