@@ -6,10 +6,13 @@
 //! Run with `cargo bench --bench artifacts`. Besides printing a table,
 //! this bench writes a machine-readable summary to
 //! `BENCH_artifacts.json` at the workspace root, which is committed so
-//! resume-path regressions show up in review diffs.
+//! resume-path regressions show up in review diffs. A `calibration/memcpy`
+//! row pins the host's raw copy bandwidth, so rows recorded on different
+//! hosts or sessions can be compared after normalising by it.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use common::bench_calibration;
 use criterion::{black_box, BenchmarkId, Criterion};
 use evalcore::artifact::{decode_state, encode_state, ArtifactStore};
 use evalcore::cache::GridContext;
@@ -17,6 +20,8 @@ use evalcore::grid::GridConfig;
 use forecast::model::ModelKind;
 use forecast::{build_model, BuildOptions};
 use tsdata::datasets::DatasetKind;
+
+mod common;
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     static N: AtomicUsize = AtomicUsize::new(0);
@@ -122,6 +127,7 @@ fn main() {
     let mut criterion = Criterion::default().sample_size(10);
     bench_fit_or_load(&mut criterion);
     bench_codec(&mut criterion);
+    bench_calibration(&mut criterion);
 
     // cargo bench runs with the package dir as cwd; anchor the summary at
     // the workspace root so it lands next to the sources it measures.

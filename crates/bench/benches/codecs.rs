@@ -1,7 +1,8 @@
 //! Codec throughput bench: encode+decode bytes/sec for every compressor,
-//! the timestamp stream codec, and head-to-head rows for the blocked SZ
-//! symbol kernel against its scalar baseline (Huffman bit-walk symbol
-//! decode) measured in the same run, on the same host.
+//! the timestamp stream codec, the DEFLATE container on a raw series and
+//! on a fitted model's weights, CRC32, and head-to-head rows for the
+//! blocked SZ symbol kernel against its scalar baseline (Huffman bit-walk
+//! symbol decode) measured in the same run, on the same host.
 //!
 //! Run with `cargo bench --bench codecs`; set `BENCH_SMOKE=1` for the CI
 //! short mode. Writes `BENCH_codecs.json` at the workspace root (committed
@@ -21,9 +22,13 @@ use compression::pmc::Pmc;
 use compression::reader::ByteReader;
 use compression::swing::Swing;
 use compression::sz::Sz;
-use compression::{deflate, timestamps};
+use compression::{crc32, deflate, timestamps};
 use criterion::{black_box, Criterion, Throughput};
+use evalcore::artifact::encode_state;
+use forecast::{build_model, BuildOptions, ModelKind, Profile};
+use tsdata::datasets::{generate, DatasetKind, GenOptions};
 use tsdata::series::RegularTimeSeries;
+use tsdata::split::{split, SplitSpec};
 
 mod common;
 
@@ -74,7 +79,48 @@ fn bench_codecs(c: &mut Criterion, len: usize) {
     group.bench_function("decode", |b| {
         b.iter(|| deflate::decompress(black_box(&frame)).expect("decodes"))
     });
+    // A registry fault-in's inflate: a fitted model's f64 weights deflate
+    // by only a few percent, so nearly every symbol is a literal, where
+    // the raw series above is mostly matches.
+    let weights = nbeats_artifact_body();
+    let inflated = deflate::decompress(&weights).expect("decodes").len() as u64;
+    group.throughput(Throughput::Bytes(inflated));
+    group.bench_function("decode_weights", |b| {
+        b.iter(|| deflate::decompress(black_box(&weights)).expect("decodes"))
+    });
     group.finish();
+
+    let data: Vec<u8> =
+        (0..1u32 << 20).map(|i| (i.wrapping_mul(0x9E37_79B9) >> 24) as u8).collect();
+    let mut group = c.benchmark_group("checksum");
+    group.throughput(Throughput::Bytes(data.len() as u64));
+    group.bench_function("crc32", |b| b.iter(|| crc32(black_box(&data))));
+    group.finish();
+}
+
+/// The deflated body of an NBeats artifact fitted as the serving
+/// benchmark's mixed workload fits its fleet: ETTm1, 1,000 points, input
+/// 96, horizon 24, the Fast profile.
+fn nbeats_artifact_body() -> Vec<u8> {
+    let dataset = DatasetKind::ETTm1;
+    let data = generate(dataset, GenOptions { len: Some(1_000), channels: Some(1), seed: 4 });
+    let s = split(&data, SplitSpec::default()).expect("dataset splits");
+    let mut model = build_model(
+        ModelKind::NBeats,
+        BuildOptions {
+            input_len: 96,
+            horizon: 24,
+            season: Some(dataset.samples_per_day() as usize),
+            seed: 40,
+            profile: Profile::Fast,
+        },
+    );
+    model.fit(&s.train, &s.val).expect("fits");
+    let artifact = encode_state(&model.save_state().expect("exports")).expect("encodes");
+    // The artifact header is 28 bytes; flag bit 0 (byte 6) marks a
+    // deflated body.
+    assert_eq!(artifact[6] & 1, 1, "the weights body is deflated");
+    artifact[28..].to_vec()
 }
 
 /// Timestamp stream encode and decode (Gorilla-style delta-of-delta
@@ -112,7 +158,7 @@ fn bench_timestamp_stream(c: &mut Criterion, n: usize) {
 }
 
 /// SZ quantizer-symbol decode three ways: the legacy Huffman bit-walk
-/// (scalar baseline), the 8-bit Huffman prefix table, and the blocked
+/// (scalar baseline), the 11-bit Huffman prefix table, and the blocked
 /// zigzag packing SZ now writes. Symbols follow the skewed near-zero
 /// distribution real quantization codes have.
 fn bench_sz_symbols(c: &mut Criterion, n: usize) {

@@ -7,6 +7,8 @@ use criterion::{black_box, Criterion, Throughput};
 /// CI short mode (`BENCH_SMOKE=1`): same workloads as full mode and no
 /// in-process floors. The benches CI gates on timings (codecs, inference,
 /// store) keep the full sample count; the others trim samples or requests.
+// `artifacts` compiles this module but has no short mode.
+#[allow(dead_code)]
 pub fn smoke() -> bool {
     std::env::var("BENCH_SMOKE").is_ok_and(|v| v != "0" && !v.is_empty())
 }

@@ -4,10 +4,10 @@
 //! Gorilla's reference description and keeps the Huffman decoder a simple
 //! left-to-right walk.
 //!
-//! The multi-bit paths ([`BitWriter::write_bits`], [`BitReader::read_bits`])
-//! move whole bytes at a time instead of looping per bit; the wire format is
-//! unchanged (DESIGN.md §11 proves equivalence with a per-bit reference in
-//! `tests/block_props.rs`).
+//! The multi-bit paths never loop per bit: [`BitWriter::write_bits`] moves
+//! whole bytes, and [`BitReader::read_bits`] loads one big-endian word
+//! wherever eight bytes remain. The wire format is unchanged (DESIGN.md §11
+//! proves equivalence with a per-bit reference in `tests/block_props.rs`).
 
 use std::fmt;
 
@@ -135,20 +135,44 @@ impl<'a> BitReader<'a> {
 
     /// Reads `n` bits into the low bits of a `u64`, MSB first.
     ///
-    /// Byte-at-a-time: one partial leading byte, whole bytes in the middle,
-    /// one partial trailing byte — never a per-bit loop.
+    /// Wherever eight bytes remain from the current byte, this is one
+    /// big-endian word load and a shift (plus the ninth byte when the read
+    /// straddles it). The last bytes of the stream take a byte-at-a-time
+    /// path: one partial leading byte, whole bytes, one partial trailing
+    /// byte — never a per-bit loop.
     pub fn read_bits(&mut self, n: u8) -> Result<u64, OutOfBits> {
         debug_assert!(n <= 64);
         if n == 0 {
             return Ok(0);
         }
-        let n = n as u32;
-        let end = self.pos + n as usize;
+        let n = n as usize;
+        let end = self.pos + n;
         if end > self.bytes.len() * 8 {
             return Err(OutOfBits);
         }
-        let mut byte = self.pos / 8;
-        let off = (self.pos % 8) as u32;
+        let byte = self.pos / 8;
+        let off = self.pos % 8;
+        let out = match self.bytes.get(byte..byte + 8) {
+            Some(word) => {
+                let w = u64::from_be_bytes(word.try_into().expect("8-byte slice")) << off;
+                let hi = w >> (64 - n);
+                // The read ends in byte `byte + 8`, which `end` proves exists.
+                let spill = off + n;
+                if spill > 64 {
+                    hi | (self.bytes[byte + 8] >> (72 - spill)) as u64
+                } else {
+                    hi
+                }
+            }
+            None => self.read_tail(byte, off as u32, n as u32),
+        };
+        self.pos = end;
+        Ok(out)
+    }
+
+    /// [`Self::read_bits`] within the stream's last eight bytes, whose
+    /// bounds the caller checked.
+    fn read_tail(&self, mut byte: usize, off: u32, n: u32) -> u64 {
         // First (possibly partial) byte.
         let avail = 8 - off;
         let take = avail.min(n);
@@ -167,31 +191,35 @@ impl<'a> BitReader<'a> {
             let tail = n - got;
             out = (out << tail) | (self.bytes[byte] >> (8 - tail)) as u64;
         }
-        self.pos = end;
-        Ok(out)
+        out
     }
 
-    /// Peeks at the next 8 bits without advancing, or `None` when fewer
-    /// than 8 bits remain. This is the lookahead the table-driven Huffman
-    /// decoder uses; near the end of the stream it falls back to the
-    /// per-bit walk, so short reads never need zero-padding semantics.
-    pub(crate) fn peek8(&self) -> Option<u8> {
-        if self.remaining() < 8 {
+    /// Peeks at the next `n` bits (`1..=16`) without advancing, or `None`
+    /// when fewer than `n` bits remain. This is the lookahead the
+    /// table-driven Huffman decoder uses; near the end of the stream it
+    /// falls back to the per-bit walk, so short reads never need
+    /// zero-padding semantics.
+    pub(crate) fn peek(&self, n: u8) -> Option<u16> {
+        debug_assert!((1..=16).contains(&n));
+        if self.remaining() < n as usize {
             return None;
         }
         let byte = self.pos / 8;
-        let off = self.pos % 8;
-        if off == 0 {
-            return Some(self.bytes[byte]);
-        }
-        let hi = self.bytes[byte] << off;
-        let lo = self.bytes[byte + 1] >> (8 - off);
-        Some(hi | lo)
+        // `off + n <= 23`, so the window lies in the next three bytes; in
+        // the last ones, bytes past the end read as zero outside it.
+        let w = match self.bytes.get(byte..byte + 4) {
+            Some(b) => u32::from_be_bytes([b[0], b[1], b[2], b[3]]),
+            None => self.bytes[byte..]
+                .iter()
+                .enumerate()
+                .fold(0, |w, (i, &b)| w | (b as u32) << (24 - 8 * i)),
+        };
+        Some(((w << (self.pos % 8)) >> (32 - n as u32)) as u16)
     }
 
-    /// Advances past `n` bits that were already inspected via [`peek8`].
+    /// Advances past `n` bits that were already inspected via [`peek`].
     ///
-    /// [`peek8`]: BitReader::peek8
+    /// [`peek`]: BitReader::peek
     pub(crate) fn skip_bits(&mut self, n: u8) -> Result<(), OutOfBits> {
         if self.remaining() < n as usize {
             return Err(OutOfBits);
@@ -200,8 +228,14 @@ impl<'a> BitReader<'a> {
         Ok(())
     }
 
+    /// A reader over `bytes` that starts at bit `pos` (at most the
+    /// stream's length).
+    pub(crate) fn at(bytes: &'a [u8], pos: usize) -> Self {
+        debug_assert!(pos <= bytes.len() * 8);
+        BitReader { bytes, pos }
+    }
+
     /// Bits consumed so far.
-    #[cfg(test)]
     pub(crate) fn position(&self) -> usize {
         self.pos
     }
@@ -215,6 +249,7 @@ impl<'a> BitReader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn single_bits_roundtrip() {
@@ -316,22 +351,51 @@ mod tests {
         }
     }
 
+    /// The per-bit definition of the next `n` bits, or `None` past the end.
+    fn bits_one_at_a_time(r: &BitReader<'_>, n: u8) -> Option<u64> {
+        let mut r = r.clone();
+        (0..n).try_fold(0u64, |acc, _| r.read_bit().ok().map(|b| (acc << 1) | b as u64))
+    }
+
     #[test]
-    fn peek8_and_skip() {
-        let mut w = BitWriter::new();
-        w.write_bits(0b110_10110, 8);
-        w.write_bits(0b0101_1010, 8);
-        let bytes = w.into_bytes();
+    fn peek_and_skip_at_every_offset_and_the_end() {
+        let bytes: Vec<u8> = (0..5u8).map(|i| i.wrapping_mul(0x9D) ^ 0x3C).collect();
+        for n in 1u8..=16 {
+            for pos in 0..=bytes.len() * 8 {
+                let mut r = BitReader::new(&bytes);
+                r.pos = pos;
+                let want = bits_one_at_a_time(&r, n).map(|v| v as u16);
+                assert_eq!(r.peek(n), want, "n={n} pos={pos}");
+                assert_eq!(want.is_none(), r.remaining() < n as usize);
+                assert_eq!(r.position(), pos, "peek must not advance");
+            }
+        }
         let mut r = BitReader::new(&bytes);
-        assert_eq!(r.peek8().unwrap(), 0b1101_0110);
-        assert_eq!(r.position(), 0, "peek must not advance");
-        r.skip_bits(3).unwrap();
-        // Unaligned peek spans two bytes.
-        assert_eq!(r.peek8().unwrap(), 0b1011_0010);
-        r.skip_bits(8).unwrap();
-        assert_eq!(r.peek8(), None, "only 5 bits left");
-        assert_eq!(r.read_bits(5).unwrap(), 0b11010);
-        assert!(r.skip_bits(1).is_err());
+        r.skip_bits(37).unwrap();
+        assert!(r.skip_bits(4).is_err(), "only 3 bits left");
+        assert_eq!(r.position(), 37, "failed skip must not advance");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn read_bits_matches_per_bit_reference_near_the_end(
+            bytes in proptest::collection::vec(any::<u8>(), 16..40),
+        ) {
+            // Every start bit in the last 16 bytes and every width: the word
+            // path, the byte-at-a-time tail and the boundary between them.
+            for start in (bytes.len() - 16) * 8..bytes.len() * 8 {
+                for n in 1u8..=64 {
+                    let mut r = BitReader::new(&bytes);
+                    r.pos = start;
+                    let want = bits_one_at_a_time(&r, n);
+                    prop_assert_eq!(r.read_bits(n).ok(), want, "start={} n={}", start, n);
+                    let moved = if want.is_some() { n as usize } else { 0 };
+                    prop_assert_eq!(r.position(), start + moved, "start={} n={}", start, n);
+                }
+            }
+        }
     }
 
     #[test]

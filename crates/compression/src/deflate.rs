@@ -39,6 +39,23 @@
 //! checks the two agree token for token. `tests/deflate_digests.rs` pins
 //! the output bytes on inputs far past the window, with copies at exactly
 //! 32,768 and 32,769 bytes back.
+//!
+//! # Decoder
+//!
+//! [`decompress`] reads the two code-length tables through the shared
+//! [`BitReader`], then decodes tokens from a private 64-bit buffer that is
+//! topped up once per token. Each symbol is one lookup in its code's
+//! 11-bit prefix table; a code the table does not hold, or one whose bits
+//! run past the stream's end, goes to the bit-by-bit walk at its exact
+//! position, so every error is the one the walk gives. A match that does
+//! not overlap its own output is copied as one slice. Model artifacts are
+//! the literal-heavy case: f64 weights deflate by only about 4–5%, so
+//! nearly every symbol is a literal.
+//!
+//! The test module keeps the first inflate loop as `reference_decompress`,
+//! built on single-bit reads and the walk alone, and checks that both
+//! return the same `Result`, down to the `Err` value, on valid frames, on
+//! every truncation and on seeded mutations.
 
 use crate::bitstream::{BitReader, BitWriter};
 use crate::huffman::{CanonicalCode, HuffmanError};
@@ -250,8 +267,10 @@ fn tokenize(data: &[u8]) -> Vec<Token> {
         return tokens;
     }
     let mut head = vec![NIL; 1 << HASH_BITS];
-    // prev[p % WINDOW]: the position before p with p's hash.
-    let mut prev = vec![NIL; WINDOW];
+    // prev[p % WINDOW]: the position before p with p's hash. An input
+    // shorter than the window needs only one slot per byte (`p % WINDOW`
+    // is `p` there), which spares short frames the full 128 KiB ring.
+    let mut prev = vec![NIL; n.min(WINDOW)];
     let last_insert = n - MIN_MATCH;
     let mut i = 0;
     while i < n {
@@ -363,6 +382,94 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
     out
 }
 
+/// The inflate loop's bit buffer: the stream's next bits, MSB first, in
+/// one word that [`Bits::refill`] tops up once per token. A token needs at
+/// most 15 + 5 + 15 + 13 = 48 bits, and a refill leaves at least 56 or
+/// every bit the stream has left, so a field that does not fit is
+/// truncated. `avail` counts only real bits: a table hit is taken only
+/// when all of its code's bits exist, and everything else goes to
+/// [`CanonicalCode::decode_walk`] at the exact bit position.
+struct Bits<'a> {
+    body: &'a [u8],
+    /// The top `avail` bits are the stream's next bits; the bits below are
+    /// zero or the stream's own later bits.
+    buf: u64,
+    avail: u32,
+    /// The next byte of `body` to load.
+    next: usize,
+}
+
+impl<'a> Bits<'a> {
+    fn at(body: &'a [u8], pos: usize) -> Self {
+        let mut bits = Bits { body, buf: 0, avail: 0, next: pos / 8 };
+        bits.refill();
+        bits.consume((pos % 8) as u32);
+        bits
+    }
+
+    fn position(&self) -> usize {
+        self.next * 8 - self.avail as usize
+    }
+
+    /// Tops the buffer up to at least 56 bits, or to every bit left.
+    /// Unconditional, so the hot loop has no data-dependent branch here.
+    #[inline]
+    fn refill(&mut self) {
+        if let Some(word) = self.body.get(self.next..self.next + 8) {
+            // The word's bits past the whole bytes taken are the stream's
+            // own, so a later load ORs the same values over them. Taking
+            // at most 63 bits keeps the shift in range.
+            self.buf |= u64::from_be_bytes(word.try_into().expect("8 bytes")) >> self.avail;
+            let take = (63 - self.avail) / 8;
+            self.next += take as usize;
+            self.avail += take * 8;
+        } else {
+            // The stream's last bytes, one at a time.
+            while self.avail <= 56 && self.next < self.body.len() {
+                self.buf |= (self.body[self.next] as u64) << (56 - self.avail);
+                self.next += 1;
+                self.avail += 8;
+            }
+        }
+    }
+
+    /// Drops the next `n ≤ 15` bits.
+    #[inline]
+    fn consume(&mut self, n: u32) {
+        debug_assert!(n <= self.avail.min(15));
+        self.buf <<= n;
+        self.avail -= n;
+    }
+
+    /// One Huffman symbol: a table hit whose bits all exist, else the walk
+    /// from the exact bit.
+    #[inline]
+    fn symbol(&mut self, code: &CanonicalCode) -> Result<usize, HuffmanError> {
+        if let Some((len, sym)) = code.lookup(self.buf) {
+            if len <= self.avail {
+                self.consume(len);
+                return Ok(sym);
+            }
+        }
+        let mut r = BitReader::at(self.body, self.position());
+        let sym = code.decode_walk(&mut r)?;
+        *self = Bits::at(self.body, r.position());
+        Ok(sym)
+    }
+
+    /// `n ≤ 13` extra bits after a symbol of the same token.
+    #[inline]
+    fn take(&mut self, n: u8) -> Result<u64, DeflateError> {
+        let n = n as u32;
+        if n > self.avail {
+            return Err(DeflateError::Truncated);
+        }
+        let v = self.buf.checked_shr(64 - n).unwrap_or(0);
+        self.consume(n);
+        Ok(v)
+    }
+}
+
 /// Decompresses a buffer produced by [`compress`].
 pub fn decompress(input: &[u8]) -> Result<Vec<u8>, DeflateError> {
     let mut hdr = ByteReader::new(input);
@@ -385,13 +492,15 @@ pub fn decompress(input: &[u8]) -> Result<Vec<u8>, DeflateError> {
             // tampered length field cannot reserve gigabytes up front.
             let plausible = body.len().saturating_mul(1032).saturating_add(16);
             let mut out = Vec::with_capacity(expected.min(plausible));
+            let mut bits = Bits::at(body, r.position());
             loop {
                 if out.len() > expected {
                     // Already past the promised size — stop before a
                     // hostile stream makes us materialize it all.
                     return Err(DeflateError::LengthMismatch { expected, got: out.len() });
                 }
-                let sym = lit_code.decode(&mut r)?;
+                bits.refill();
+                let sym = bits.symbol(&lit_code)?;
                 if sym == EOB {
                     break;
                 }
@@ -399,19 +508,22 @@ pub fn decompress(input: &[u8]) -> Result<Vec<u8>, DeflateError> {
                     out.push(sym as u8);
                 } else {
                     let (base, extra) = LEN_TABLE[sym - 257];
-                    let len = base as usize
-                        + r.read_bits(extra).map_err(|_| DeflateError::Truncated)? as usize;
-                    let dsym = dist_code.decode(&mut r)?;
+                    let len = base as usize + bits.take(extra)? as usize;
+                    let dsym = bits.symbol(&dist_code)?;
                     let (dbase, dextra) = DIST_TABLE[dsym];
-                    let dist = dbase as usize
-                        + r.read_bits(dextra).map_err(|_| DeflateError::Truncated)? as usize;
+                    let dist = dbase as usize + bits.take(dextra)? as usize;
                     if dist == 0 || dist > out.len() {
                         return Err(DeflateError::BadDistance { dist, have: out.len() });
                     }
                     let start = out.len() - dist;
-                    for k in 0..len {
-                        let b = out[start + k];
-                        out.push(b);
+                    if dist >= len {
+                        out.extend_from_within(start..start + len);
+                    } else {
+                        // The copy overlaps its own output: byte by byte.
+                        for k in 0..len {
+                            let b = out[start + k];
+                            out.push(b);
+                        }
                     }
                 }
             }
@@ -500,6 +612,134 @@ mod tests {
         tokens
     }
 
+    /// The inflate loop as first written, kept as the oracle for
+    /// [`decompress`]: code lengths, symbols and extra bits are all read
+    /// one bit at a time through [`BitReader::read_bit`] and
+    /// [`CanonicalCode::decode_walk`], so it shares no fast path with the
+    /// decoder under test.
+    fn reference_decompress(input: &[u8]) -> Result<Vec<u8>, DeflateError> {
+        fn bits(r: &mut BitReader<'_>, n: u8) -> Result<u64, crate::bitstream::OutOfBits> {
+            (0..n).try_fold(0u64, |v, _| Ok((v << 1) | r.read_bit()? as u64))
+        }
+        fn code(r: &mut BitReader<'_>, alphabet: usize) -> Result<CanonicalCode, HuffmanError> {
+            let lengths = (0..alphabet)
+                .map(|_| bits(r, 4).map(|l| l as u8))
+                .collect::<Result<Vec<_>, _>>()?;
+            CanonicalCode::from_lengths(&lengths)
+        }
+        let mut hdr = ByteReader::new(input);
+        let mode = hdr.read_u8().map_err(|_| DeflateError::Truncated)?;
+        let expected = hdr.read_u32_le().map_err(|_| DeflateError::Truncated)? as usize;
+        let body = hdr.rest();
+        match mode {
+            0 => {
+                if body.len() < expected {
+                    return Err(DeflateError::Truncated);
+                }
+                Ok(body[..expected].to_vec())
+            }
+            1 => {
+                let mut r = BitReader::new(body);
+                let lit_code = code(&mut r, NUM_LIT_LEN)?;
+                let dist_code = code(&mut r, NUM_DIST)?;
+                let mut out = Vec::new();
+                loop {
+                    if out.len() > expected {
+                        return Err(DeflateError::LengthMismatch { expected, got: out.len() });
+                    }
+                    let sym = lit_code.decode_walk(&mut r)?;
+                    if sym == EOB {
+                        break;
+                    }
+                    if sym < 256 {
+                        out.push(sym as u8);
+                    } else {
+                        let (base, extra) = LEN_TABLE[sym - 257];
+                        let len = base as usize
+                            + bits(&mut r, extra).map_err(|_| DeflateError::Truncated)? as usize;
+                        let dsym = dist_code.decode_walk(&mut r)?;
+                        let (dbase, dextra) = DIST_TABLE[dsym];
+                        let dist = dbase as usize
+                            + bits(&mut r, dextra).map_err(|_| DeflateError::Truncated)? as usize;
+                        if dist == 0 || dist > out.len() {
+                            return Err(DeflateError::BadDistance { dist, have: out.len() });
+                        }
+                        let start = out.len() - dist;
+                        for k in 0..len {
+                            let b = out[start + k];
+                            out.push(b);
+                        }
+                    }
+                }
+                if out.len() != expected {
+                    return Err(DeflateError::LengthMismatch { expected, got: out.len() });
+                }
+                Ok(out)
+            }
+            m => Err(DeflateError::BadMode(m)),
+        }
+    }
+
+    /// `n` little-endian f64s shaped like fitted weights (small, centred,
+    /// full-entropy mantissas): DEFLATE saves only a few percent on them,
+    /// so nearly every symbol is a literal. `repeat_every > 0` repeats an
+    /// earlier value every that many values, so a few matches (with their
+    /// long, table-missing length codes) mix in.
+    fn weights(seed: u64, n: usize, repeat_every: usize) -> Vec<u8> {
+        let mut x = seed | 1;
+        let mut vals: Vec<f64> = Vec::with_capacity(n);
+        for i in 0..n {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let v = if repeat_every > 0 && i % repeat_every == repeat_every - 1 {
+                vals[(x % i as u64) as usize]
+            } else {
+                ((x >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 0.4
+            };
+            vals.push(v);
+        }
+        vals.iter().flat_map(|v| v.to_le_bytes()).collect()
+    }
+
+    /// `len` bytes that alternate short noise runs with copies of random
+    /// length (3..=258) from random distances (up to the whole window):
+    /// tokens that spend up to 48 bits on a length code, its extra bits, a
+    /// distance code and up to 13 distance extra bits.
+    fn far_copies(seed: u64, len: usize) -> Vec<u8> {
+        let draws = noise(seed, 3 * len + 3, 255);
+        let mut data = noise(seed ^ 0x9E37_79B9, len.min(64), 255);
+        let mut k = 0;
+        while data.len() < len {
+            let (a, b, c) = (draws[k] as usize, draws[k + 1] as usize, draws[k + 2] as usize);
+            k += 3;
+            if a % 3 == 0 {
+                data.extend_from_slice(&noise(seed ^ k as u64, 1 + b % 4, 255));
+            } else {
+                let copy = (3 + (a << 8 | b) % 256).min(len - data.len());
+                let dist = 1 + (b << 8 | c) * (a + 1) % data.len().min(WINDOW);
+                for _ in 0..copy {
+                    data.push(data[data.len() - dist]);
+                }
+            }
+        }
+        data
+    }
+
+    /// Fails when the decoder and the oracle return different results,
+    /// down to the `Err` value.
+    fn inflate_agrees(frame: &[u8], what: &str) -> Result<(), TestCaseError> {
+        let (got, want) = (decompress(frame), reference_decompress(frame));
+        if got == want {
+            return Ok(());
+        }
+        let show = |r: &Result<Vec<u8>, DeflateError>| match r {
+            Ok(v) => format!("Ok({} bytes)", v.len()),
+            Err(e) => format!("Err({e:?})"),
+        };
+        Err(TestCaseError::fail(format!("{what}: got {}, oracle {}", show(&got), show(&want))))
+    }
+
     /// Bytes from a seeded xorshift64, folded into `alphabet` symbols: small
     /// alphabets give long, dense hash chains, large ones sparse chains.
     fn noise(seed: u64, len: usize, alphabet: u8) -> Vec<u8> {
@@ -577,6 +817,97 @@ mod tests {
                 k += 2;
             }
             agree(&data)?;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn inflate_agrees_with_oracle_on_valid_frames(
+            seed in any::<u64>(),
+            values in 0..6_000usize,
+            repeat_every in 0..40usize,
+            alphabet in 1..=255u8,
+        ) {
+            // Literal-heavy weights (up to 48 KB, past the 32 KiB window),
+            // match-heavy noise, far copies, and the empty input.
+            let w = weights(seed, values, repeat_every);
+            let n = noise(seed, values * 8, alphabet);
+            let f = far_copies(seed, values * 8);
+            for data in [&w[..], &n[..], &f[..], &[]] {
+                let frame = compress(data);
+                prop_assert_eq!(decompress(&frame), Ok(data.to_vec()));
+                inflate_agrees(&frame, "valid frame")?;
+            }
+        }
+
+        #[test]
+        fn inflate_agrees_with_oracle_on_every_truncation(
+            seed in any::<u64>(),
+            values in 0..120usize,
+            repeat_every in 0..8usize,
+        ) {
+            let frames = [compress(&weights(seed, values, repeat_every)), compress(&far_copies(seed, values * 32))];
+            for frame in &frames {
+                for cut in 0..frame.len() {
+                    inflate_agrees(&frame[..cut], &format!("cut at {cut} of {}", frame.len()))?;
+                }
+            }
+        }
+
+        #[test]
+        fn inflate_agrees_with_oracle_on_mutations(seed in any::<u64>()) {
+            let corpus = [
+                compress(&weights(seed, 300, 0)),
+                compress(&weights(seed ^ 1, 300, 5)),
+                compress(&noise(seed, 2_000, 4)),
+                compress(&noise(seed, 64, 255)),
+                compress(&far_copies(seed, 3_000)),
+                compress(&[]),
+            ];
+            let mut result = Ok(());
+            crate::mutate::sweep(&corpus, seed, 8, |buf, label| {
+                if result.is_ok() {
+                    result = inflate_agrees(buf, label);
+                }
+            });
+            result?;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn bit_buffer_holds_exactly_the_next_bits(
+            bytes in prop::collection::vec(any::<u8>(), 0..40),
+            tokens in prop::collection::vec((0..=15u32, 0..=5u32, 0..=15u32, 0..=13u32), 1..48),
+        ) {
+            // From every start bit, consume token-shaped field widths:
+            // after each refill the buffer holds at least 56 bits or every
+            // bit left, and its top `avail` bits are the stream's next bits.
+            let total = bytes.len() * 8;
+            for start in 0..=total {
+                let mut b = Bits::at(&bytes, start);
+                let mut pos = start;
+                for &(code, extra, dcode, dextra) in &tokens {
+                    b.refill();
+                    prop_assert_eq!(b.position(), pos);
+                    let avail = b.avail as usize;
+                    prop_assert!(avail >= 56.min(total - pos), "{avail} bits at {pos} of {total}");
+                    let mut r = BitReader::at(&bytes, pos);
+                    for i in 0..avail.min(total - pos) {
+                        let bit = (b.buf >> (63 - i)) & 1 == 1;
+                        prop_assert_eq!(bit, r.read_bit().expect("in range"), "bit {}", pos + i);
+                    }
+                    for n in [code, extra, dcode, dextra] {
+                        let n = n.min(b.avail);
+                        b.consume(n);
+                        pos += n as usize;
+                    }
+                }
+            }
         }
     }
 

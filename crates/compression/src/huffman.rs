@@ -184,19 +184,20 @@ pub struct CanonicalCode {
     first_code: [u32; MAX_CODE_LEN as usize + 1],
     /// For each length: index into `sorted_symbols` of its first symbol.
     first_index: [u32; MAX_CODE_LEN as usize + 1],
-    /// 8-bit prefix table: entry `w` is `(len << 12) | symbol` for the
-    /// code prefixing window `w`, or 0 when no code of length ≤ 8 does
+    /// 11-bit prefix table: entry `w` is `(len << 12) | symbol` for the
+    /// code prefixing window `w`, or 0 when no code of length ≤ 11 does
     /// (then [`CanonicalCode::decode_walk`] resolves the window).
-    table: Vec<u16>,
+    table: Box<[u16; 1 << TABLE_BITS]>,
 }
 
-/// Prefix-table window width: one byte of lookahead resolves every code of
-/// up to this many bits in a single table hit.
-const TABLE_BITS: u8 = 8;
+/// Prefix-table window width: 11 bits of lookahead resolve every code of up
+/// to this many bits in a single table hit. That covers every literal code
+/// of a deflated weights payload, whose byte values are close to uniform.
+const TABLE_BITS: u8 = 11;
 
 impl CanonicalCode {
     /// Builds the canonical code from per-symbol lengths (0 = absent).
-    fn from_lengths(lengths: &[u8]) -> Result<Self, HuffmanError> {
+    pub(crate) fn from_lengths(lengths: &[u8]) -> Result<Self, HuffmanError> {
         let mut count = [0u32; MAX_CODE_LEN as usize + 1];
         let mut any = false;
         for &l in lengths {
@@ -242,10 +243,10 @@ impl CanonicalCode {
             first_index[len] = acc;
             acc += count[len];
         }
-        // Prefix table: every 8-bit window starting with a short code maps
+        // Prefix table: every 11-bit window starting with a short code maps
         // straight to (length, symbol). Symbols that cannot fit the 12-bit
         // payload (alphabets past 4096) simply stay on the walk path.
-        let mut table = vec![0u16; 1 << TABLE_BITS];
+        let mut table = Box::new([0u16; 1 << TABLE_BITS]);
         for (sym, &l) in lengths.iter().enumerate() {
             if l == 0 || l > TABLE_BITS || sym >= 1 << 12 {
                 continue;
@@ -310,25 +311,34 @@ impl CanonicalCode {
         w.write_bits(self.codes[symbol] as u64, len);
     }
 
-    /// Reads one symbol: a single 8-bit lookahead resolves every code of
-    /// up to 8 bits in one table hit; longer codes, codes near the end of
-    /// the stream, and invalid prefixes fall back to
+    /// Reads one symbol: a single 11-bit lookahead resolves every code of
+    /// up to 11 bits in one table hit; longer codes, the stream's last 10
+    /// bits, and invalid prefixes fall back to
     /// [`CanonicalCode::decode_walk`], which has identical semantics.
     pub fn decode(&self, r: &mut BitReader<'_>) -> Result<usize, HuffmanError> {
-        if let Some(window) = r.peek8() {
-            let entry = self.table[window as usize];
-            if entry != 0 {
-                let len = (entry >> 12) as u8;
-                r.skip_bits(len).map_err(|_| HuffmanError::Truncated)?;
-                return Ok((entry & 0x0FFF) as usize);
+        if let Some(window) = r.peek(TABLE_BITS) {
+            if let Some((len, sym)) = self.lookup((window as u64) << (64 - TABLE_BITS)) {
+                r.skip_bits(len as u8).map_err(|_| HuffmanError::Truncated)?;
+                return Ok(sym);
             }
         }
         self.decode_walk(r)
     }
 
-    /// Reads one symbol bit by bit: the pre-table decode path, kept both
-    /// as the fallback for [`CanonicalCode::decode`] and as the scalar
-    /// baseline the codecs bench measures the table against.
+    /// The table's `(length, symbol)` for the code prefixing `bits` (next
+    /// bit first, in the top bit), or `None` when no code of up to
+    /// 11 bits does. The caller checks that `length` bits exist.
+    #[inline]
+    pub(crate) fn lookup(&self, bits: u64) -> Option<(u32, usize)> {
+        let entry = self.table[(bits >> (64 - TABLE_BITS)) as usize];
+        (entry != 0).then_some(((entry >> 12) as u32, (entry & 0x0FFF) as usize))
+    }
+
+    /// Reads one symbol bit by bit: the pre-table decode path, kept as the
+    /// fallback for [`CanonicalCode::decode`] and for the inflate loop's
+    /// bit buffer, as the decoder of the inflate oracle in `deflate`'s
+    /// tests, and as the scalar baseline the codecs bench measures the
+    /// table against.
     pub fn decode_walk(&self, r: &mut BitReader<'_>) -> Result<usize, HuffmanError> {
         let mut code = 0u32;
         for len in 1..=MAX_CODE_LEN as usize {
@@ -465,7 +475,8 @@ mod tests {
     #[test]
     fn table_and_walk_decode_identically() {
         // Large skewed alphabet (SZ-sized): short codes hit the table,
-        // rare symbols get >8-bit codes and exercise the fallback.
+        // rare symbols get codes longer than the table and exercise the
+        // fallback.
         let mut freqs = vec![1u64; 1026];
         freqs[513] = 100_000;
         freqs[512] = 30_000;
@@ -474,7 +485,7 @@ mod tests {
             *f = 500 + i as u64;
         }
         let code = CanonicalCode::from_freqs(&freqs).unwrap();
-        assert!(code.lengths().iter().any(|&l| l > 8), "long codes present");
+        assert!(code.lengths().iter().any(|&l| l > TABLE_BITS), "long codes present");
         let symbols: Vec<usize> =
             (0..5000usize).map(|i| if i % 3 == 0 { 513 } else { (i * 131) % 1026 }).collect();
         let mut w = BitWriter::new();
@@ -494,7 +505,7 @@ mod tests {
     #[test]
     fn table_decode_handles_stream_tail() {
         // Codes whose final symbols sit in the last partial byte must fall
-        // back to the walk, not require 8 bits of lookahead.
+        // back to the walk, not require 11 bits of lookahead.
         let code = CanonicalCode::from_freqs(&[40, 30, 20, 10]).unwrap();
         let symbols = [0usize, 3, 1, 2, 0, 0, 3];
         let mut w = BitWriter::new();

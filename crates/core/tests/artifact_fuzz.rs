@@ -5,7 +5,7 @@
 //! [`compression::mutate`] harness, so a CI failure replays from the case
 //! label's seed alone.
 
-use compression::mutate::{sweep, ALL_MUTATIONS};
+use compression::mutate::{sweep, Lcg64, ALL_MUTATIONS};
 use evalcore::artifact::{crc32, decode_state, encode_state};
 use neural::state::StateDict;
 use neural::tensor::Tensor;
@@ -14,7 +14,10 @@ use neural::tensor::Tensor;
 const MIN_CASES: usize = 1_000;
 
 /// Valid artifacts of different shapes: empty dict, scalar-heavy dict,
-/// one large tensor (deflate-compressed body), and special float values.
+/// one large tensor (deflate-compressed body), special float values, and
+/// fitted-looking weights (a deflated body of near-uniform literals, whose
+/// codes hit the Huffman table at 9–11 bits and fall back to the bit walk
+/// for longer ones).
 fn corpus() -> Vec<Vec<u8>> {
     let empty = StateDict::new();
 
@@ -30,10 +33,18 @@ fn corpus() -> Vec<Vec<u8>> {
     let mut specials = StateDict::new();
     specials.insert("s", Tensor::row(&[f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 1e300]));
 
-    [empty, scalars, big, specials]
+    let mut rng = Lcg64::new(0x5EED_0064);
+    let mut weights = StateDict::new();
+    let values =
+        (0..64 * 64).map(|_| (rng.below(1 << 53) as f64 / (1u64 << 53) as f64 - 0.5) * 0.2);
+    weights.insert("layer.weight", Tensor::new(64, 64, values.collect()));
+
+    let corpus: Vec<Vec<u8>> = [empty, scalars, big, specials, weights]
         .iter()
         .map(|d| encode_state(d).expect("corpus encodes"))
-        .collect()
+        .collect();
+    assert_eq!(corpus[4][6] & 1, 1, "the weights body must be deflated");
+    corpus
 }
 
 #[test]
